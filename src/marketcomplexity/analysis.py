@@ -4,6 +4,7 @@ distance-based market grouping."""
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +44,10 @@ class MarketMetrics:
 
     def cell(self, metric: str) -> str:
         if metric in self.values:
-            v = self.values[metric]
-            return str(int(v)) if float(v) == int(v) else repr(float(v))
+            v = float(self.values[metric])
+            if not math.isfinite(v):
+                return f"FAILED: non-finite value {v!r}"
+            return str(int(v)) if v == int(v) else repr(v)
         if metric in self.failures:
             return f"FAILED: {self.failures[metric]}"
         return "FAILED: not computed"
@@ -112,7 +115,7 @@ def compute_market_metrics(
         for col in METRIC_COLUMNS:
             if col not in m.values and col not in m.failures:
                 m.failures[col] = "empty window"
-        return m
+        return _fail_non_finite(m)
     m.values["n_window"] = len(windowed)
 
     logret_holder = {}
@@ -168,6 +171,15 @@ def compute_market_metrics(
     if "bdm_normalized" in m.failures:
         for col in ("bdm_bits", "bdm_deficiency", "bdm_blocks_missing"):
             m.failures.setdefault(col, m.failures["bdm_normalized"])
+    return _fail_non_finite(m)
+
+
+def _fail_non_finite(m: MarketMetrics) -> MarketMetrics:
+    """Turn every NaN or infinite value into a failure with its reason."""
+    for name, v in list(m.values.items()):
+        if not math.isfinite(v):
+            del m.values[name]
+            m.failures[name] = f"non-finite value {float(v)!r}"
     return m
 
 

@@ -11,7 +11,9 @@ Every machine runs from a blank (all-zero) tape for at most `step_bound`
 steps; the recorded output of a halting machine is the bit content of the
 tape region its head visited. With step bounds at the known maximal halting
 step counts for each state count, the enumeration is exhaustive: anything
-still running is a certified non-halter.
+still running is a certified non-halter. The machines of an index range run
+together, in batches, as numpy arrays; `run_machine` simulates one machine
+and is the reference the batched kernel is tested against.
 """
 
 from __future__ import annotations
@@ -19,30 +21,19 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
+from ..errors import ConfigError
 
 # Maximal steps of any halting n-state 2-colour machine from a blank tape.
 KNOWN_STEP_BOUNDS = {1: 1, 2: 6, 3: 21, 4: 107}
 
 MAX_EXHAUSTIVE_STATES = 4
 
-# flat-count layout only viable while 2^(step_bound+2) stays in memory
-_FLAT_LIMIT = 24
+# machines stepped together by one kernel call; bounds the kernel's memory
+BATCH = 1 << 14
 
 
 def machine_count(states: int) -> int:
@@ -70,14 +61,11 @@ class OutputDistribution:
     def probability(self, s: str) -> float:
         return self.counts.get(s, 0) / self.halting
 
-    def frequencies(self) -> dict[str, float]:
-        return {s: c / self.halting for s, c in self.counts.items()}
-
 
 def run_machine(index: int, states: int, step_bound: int) -> str | None:
     """Simulate one machine; returns its output string, or None if it does
     not halt within step_bound steps. Reference implementation, used by the
-    sampled mode and as an oracle for the compiled kernel."""
+    sampled mode and as the oracle for the lockstep kernel."""
     base = 4 * states + 2
     entries = []
     m = index
@@ -103,71 +91,79 @@ def run_machine(index: int, states: int, step_bound: int) -> str | None:
     return None
 
 
-@njit(cache=True)
-def _enumerate_kernel(states, step_bound, start, stop):  # pragma: no cover
-    base = 4 * states + 2
-    n_entries = 2 * states
-    counts = np.zeros((1 << (step_bound + 2)) - 2, dtype=np.int64)
-    halting = 0
-    tape = np.zeros(2 * step_bound + 3, dtype=np.uint8)
-    halt_write = np.empty(n_entries, dtype=np.int8)
-    wr = np.empty(n_entries, dtype=np.uint8)
-    mv = np.empty(n_entries, dtype=np.int8)
-    nx = np.empty(n_entries, dtype=np.uint8)
-    origin = step_bound + 1
-    for idx in range(start, stop):
-        m = idx
-        for e in range(n_entries):
-            v = m % base
-            m //= base
-            if v < 2:
-                halt_write[e] = v
-            else:
-                halt_write[e] = -1
-                w = v - 2
-                wr[e] = w & 1
-                mv[e] = -1 if (w >> 1) & 1 == 0 else 1
-                nx[e] = w >> 2
-        head = origin
-        pmin = origin
-        pmax = origin
-        state = 0
-        halted = False
-        for _ in range(step_bound):
-            sym = tape[head]
-            e = state * 2 + sym
-            hw = halt_write[e]
-            if hw >= 0:
-                tape[head] = hw
-                halted = True
-                break
-            tape[head] = wr[e]
-            head += mv[e]
-            if head < pmin:
-                pmin = head
-            elif head > pmax:
-                pmax = head
-            state = nx[e]
-        if halted:
-            halting += 1
-            length = pmax - pmin + 1
-            val = 0
-            for p in range(pmin, pmax + 1):
-                val = (val << 1) | tape[p]
-            counts[(1 << length) - 2 + val] += 1
-        for p in range(pmin, pmax + 1):
-            tape[p] = 0
-    return counts, halting
+def _run_batch(
+    states: int, step_bound: int, start: int, stop: int
+) -> tuple[Counter, int]:
+    """Lockstep kernel: every machine of [start, stop) steps at once.
+
+    Machines without a halting entry are dropped before the first step.
+    Each machine has its own row of a flat tape, and positions, visited
+    bounds and transition-table entries are flat indices into the tape and
+    into the batch's tables. A machine leaves the active set on the step it
+    reaches a halting entry.
+    """
+    base, n_entries, width = 4 * states + 2, 2 * states, 2 * step_bound + 3
+    v = np.empty((stop - start, n_entries), dtype=np.int64)
+    m = np.arange(start, stop, dtype=np.int64)
+    for e in range(n_entries):
+        m, v[:, e] = np.divmod(m, base)
+    halts = v < 2
+    keep = halts.any(axis=1)
+    v, halts = v[keep], halts[keep]
+    w = v - 2
+    rows = np.arange(len(v), dtype=np.int64)
+    halt = halts.ravel()
+    write = np.where(halts, v, w & 1).astype(np.uint8).ravel()
+    # a halting entry's move and next state are never read
+    move = (2 * ((w >> 1) & 1) - 1).ravel()
+    nxt = (rows[:, None] * n_entries + 2 * (w >> 2)).ravel()
+    tape = np.zeros(len(v) * width, dtype=np.uint8)
+    pos = rows * width + step_bound + 1
+    cur = rows * n_entries
+    lo, hi = pos.copy(), pos.copy()
+    done_lo, done_hi = [], []
+    for _ in range(step_bound):
+        if not len(pos):
+            break
+        e = cur + tape[pos]
+        tape[pos] = write[e]
+        h = halt[e]
+        if h.any():
+            done_lo.append(lo[h])
+            done_hi.append(hi[h])
+            k = ~h
+            pos, e, lo, hi = pos[k], e[k], lo[k], hi[k]
+        pos += move[e]
+        cur = nxt[e]
+        np.minimum(lo, pos, out=lo)
+        np.maximum(hi, pos, out=hi)
+    if not done_lo:
+        return Counter(), 0
+    lo, hi = np.concatenate(done_lo), np.concatenate(done_hi)
+    return _region_counts(tape, lo, hi), len(lo)
 
 
-def _flat_to_counter(flat: np.ndarray, max_length: int) -> Counter:
-    out: Counter = Counter()
-    for length in range(1, max_length + 1):
-        offset = (1 << length) - 2
-        block = flat[offset : offset + (1 << length)]
-        for val in np.nonzero(block)[0]:
-            out[format(int(val), f"0{length}b")] = int(block[val])
-    return out
+def _region_counts(tape: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Counter:
+    """Counts of the bit strings tape[lo[i]..hi[i]] (inclusive).
+
+    Each region is packed, right-aligned behind a leading 1 bit, into the
+    fewest whole bytes that hold the longest one, so strings of any length
+    get distinct keys and np.unique counts them.
+    """
+    length = hi - lo + 1
+    nbytes = (int(length.max()) + 8) // 8
+    cols = 8 * nbytes
+    p = hi[:, None] - np.arange(cols - 1, -1, -1)
+    bits = np.where(p >= lo[:, None], tape[np.maximum(p, lo[:, None])], 0)
+    bits[np.arange(len(lo)), cols - 1 - length] = 1
+    keys = np.packbits(bits, axis=1).view(f"V{nbytes}").ravel()
+    keys, counts = np.unique(keys, return_counts=True)
+    return Counter(
+        {
+            format(int.from_bytes(k.tobytes(), "big"), "b")[1:]: c
+            for k, c in zip(keys, counts.tolist())
+        }
+    )
 
 
 def enumerate_range(
@@ -176,16 +172,12 @@ def enumerate_range(
     """Halting-output counts over machine indices [start, stop)."""
     if start < 0 or stop > machine_count(states) or start > stop:
         raise ValueError("invalid machine index range")
-    if HAVE_NUMBA and step_bound <= _FLAT_LIMIT:
-        flat, halting = _enumerate_kernel(states, step_bound, start, stop)
-        return _flat_to_counter(flat, step_bound + 1), halting
     counts: Counter = Counter()
     halting = 0
-    for idx in range(start, stop):
-        out = run_machine(idx, states, step_bound)
-        if out is not None:
-            counts[out] += 1
-            halting += 1
+    for a in range(start, stop, BATCH):
+        c, h = _run_batch(states, step_bound, a, min(a + BATCH, stop))
+        counts.update(c)
+        halting += h
     return counts, halting
 
 
@@ -214,12 +206,19 @@ def shard_ranges(states: int, shards: int) -> list[tuple[int, int]]:
 
 
 def enumerate_machines(
-    states: int, step_bound: int | None = None, shards: int = 1
+    states: int,
+    step_bound: int | None = None,
+    shards: int = 1,
+    checkpoint: str | Path | None = None,
+    resume: bool = False,
 ) -> OutputDistribution:
     """Exhaustive enumeration of every machine with the given state count.
 
     The result is independent of the shard partition: shards are disjoint
-    index ranges whose counts are summed.
+    index ranges whose counts are summed. With `checkpoint`, each finished
+    shard is written to a file next to that path; with `resume` too, shard
+    files already there are read instead of enumerated again. The files
+    are removed once every shard is merged.
     """
     if step_bound is None:
         step_bound = default_step_bound(states)
@@ -231,10 +230,17 @@ def enumerate_machines(
         )
     counts: Counter = Counter()
     halting = 0
-    for start, stop in shard_ranges(states, shards):
-        c, h = enumerate_range(states, step_bound, start, stop)
+    paths = []
+    for i, (start, stop) in enumerate(shard_ranges(states, shards)):
+        if checkpoint is None:
+            c, h = enumerate_range(states, step_bound, start, stop)
+        else:
+            paths.append(_shard_path(Path(checkpoint), i, shards))
+            c, h = _checkpointed_range(paths[-1], resume, states, step_bound, start, stop)
         counts.update(c)
         halting += h
+    for path in paths:
+        path.unlink(missing_ok=True)
     return OutputDistribution(
         counts=dict(symmetrize_counts(counts)),
         halting=2 * halting,
@@ -243,6 +249,46 @@ def enumerate_machines(
         step_bound=step_bound,
         exhaustive=True,
     )
+
+
+def _shard_path(out: Path, i: int, shards: int) -> Path:
+    return out.with_suffix(out.suffix + f".shard{i:03d}of{shards:03d}")
+
+
+def _checkpointed_range(
+    path: Path, resume: bool, states: int, step_bound: int, start: int, stop: int
+) -> tuple[dict[str, int], int]:
+    """`enumerate_range` through the shard checkpoint file at `path`."""
+    meta = {"states": states, "step_bound": step_bound, "start": start, "stop": stop}
+    if resume and path.exists():
+        saved, counts, halting = _read_shard(path)
+        if any(saved.get(k) != str(v) for k, v in meta.items()):
+            raise ConfigError(f"stale shard checkpoint {path}")
+        return counts, halting
+    counts, halting = enumerate_range(states, step_bound, start, stop)
+    _write_shard(path, {**meta, "halting": halting}, counts)
+    return counts, halting
+
+
+def _write_shard(path: Path, meta: dict, counts) -> None:
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items())]
+    for s in sorted(counts, key=lambda x: (len(x), x)):
+        lines.append(f"{s}\t{counts[s]}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _read_shard(path: Path) -> tuple[dict[str, str], dict[str, int], int]:
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        meta = dict(tok.split("=", 1) for tok in lines[0][2:].split())
+        counts = {}
+        for line in lines[1:]:
+            if line.strip():
+                s, c = line.split("\t")
+                counts[s] = int(c)
+        return meta, counts, int(meta["halting"])
+    except (IndexError, KeyError, ValueError):
+        raise ConfigError(f"unreadable shard checkpoint {path}") from None
 
 
 def sample_machines(

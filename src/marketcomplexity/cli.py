@@ -22,17 +22,7 @@ from .analysis import (
     correlate_markets,
     pearson_correlation,
 )
-from .bdm import (
-    CtmTable,
-    bdm as bdm_fn,
-    ctm_from_frequency,
-    default_step_bound,
-    enumerate_range,
-    machine_count,
-    sample_machines,
-    shard_ranges,
-)
-from .bdm.machines import OutputDistribution, symmetrize_counts
+from .bdm import CtmTable, bdm as bdm_fn, ctm_from_frequency, sample_machines
 from .errors import ConfigError, MarketComplexityError
 from .ingest import KINDS, PriceSeries, parse_csv, parse_date, serialize_csv
 
@@ -260,96 +250,31 @@ def cmd_report(args) -> int:
     return 1 if failures else 0
 
 
-def _shard_path(out: Path, i: int, shards: int) -> Path:
-    return out.with_suffix(out.suffix + f".shard{i:03d}of{shards:03d}")
-
-
-def _write_shard(path: Path, meta: dict, counts) -> None:
-    lines = [
-        "# " + " ".join(f"{k}={v}" for k, v in meta.items())
-    ]
-    for s in sorted(counts, key=lambda x: (len(x), x)):
-        lines.append(f"{s}\t{counts[s]}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _read_shard(path: Path) -> tuple[dict, dict]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    meta = dict(tok.split("=", 1) for tok in lines[0][2:].split())
-    counts = {}
-    for line in lines[1:]:
-        if line.strip():
-            s, c = line.split("\t")
-            counts[s] = int(c)
-    return meta, counts
-
-
 def cmd_ctm_gen(args) -> int:
     states = args.states
-    out = Path(args.out)
     try:
         if states == 4 or args.budget:
             if not args.budget:
                 raise ConfigError("states=4 requires --budget (sampled mode)")
             dist = sample_machines(states, args.budget, seed=args.seed)
+        elif states not in (1, 2, 3):
+            raise ConfigError("exhaustive mode supports states 1..3")
+        elif args.shards < 1:
+            raise ConfigError("--shards must be at least 1")
         else:
-            if states not in (1, 2, 3):
-                raise ConfigError("exhaustive mode supports states 1..3")
-            step_bound = default_step_bound(states)
-            total = machine_count(states)
-            counts: dict[str, int] = {}
-            halting = 0
-            shard_files = []
-            for i, (start, stop) in enumerate(shard_ranges(states, args.shards)):
-                spath = _shard_path(out, i, args.shards)
-                shard_files.append(spath)
-                if args.resume and spath.exists():
-                    meta, c = _read_shard(spath)
-                    if (
-                        int(meta["states"]) != states
-                        or int(meta["start"]) != start
-                        or int(meta["stop"]) != stop
-                    ):
-                        raise ConfigError(f"stale shard checkpoint {spath}")
-                    h = int(meta["halting"])
-                else:
-                    cc, h = enumerate_range(states, step_bound, start, stop)
-                    c = dict(cc)
-                    _write_shard(
-                        spath,
-                        {
-                            "states": states,
-                            "step_bound": step_bound,
-                            "start": start,
-                            "stop": stop,
-                            "halting": h,
-                        },
-                        c,
-                    )
-                for s, n in c.items():
-                    counts[s] = counts.get(s, 0) + n
-                halting += h
-            dist = OutputDistribution(
-                counts=dict(symmetrize_counts(counts)),
-                halting=2 * halting,
-                machines=total,
-                states=states,
-                step_bound=step_bound,
-                exhaustive=True,
+            from .bdm import enumerate_machines
+
+            dist = enumerate_machines(
+                states, shards=args.shards, checkpoint=args.out, resume=args.resume
             )
-            table = ctm_from_frequency(dist, d_max=args.d_max)
-            table.save(out)
-            for spath in shard_files:
-                spath.unlink(missing_ok=True)
-            print(f"wrote {out} ({len(table.values)} entries, {halting} halting machines)")
-            return 0
         table = ctm_from_frequency(dist, d_max=args.d_max)
-        table.save(out)
-        print(f"wrote {out} ({len(table.values)} entries, sampled)")
-        return 0
+        table.save(args.out)
     except MarketComplexityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    how = f"{dist.halting // 2} halting machines" if dist.exhaustive else "sampled"
+    print(f"wrote {Path(args.out)} ({len(table.values)} entries, {how})")
+    return 0
 
 
 def cmd_ingest(args) -> int:

@@ -6,6 +6,7 @@ proleptic Gregorian calendar, with no leap seconds and 86400 s per day.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
@@ -155,8 +156,8 @@ def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
             price = float(parts[1])
         except ValueError:
             raise CsvParseError(f"invalid price {parts[1]!r}", line=lineno)
-        if not price > 0:
-            raise CsvParseError(f"non-positive price {price}", line=lineno)
+        if not 0 < price < math.inf:
+            raise CsvParseError(f"price {parts[1]!r} is not positive and finite", line=lineno)
         day = ts.date()
         if day in seen_days:
             raise CsvParseError(f"duplicate date {day.isoformat()}", line=lineno)

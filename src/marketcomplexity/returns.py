@@ -62,12 +62,15 @@ def moments(x) -> ReturnStatistics:
     """Mean, sample standard deviation (n-1 divisor), and the standardized
     third/fourth central moments (n divisor) of a sample.
 
-    Raises on zero variance: skewness and kurtosis are undefined there.
+    Raises on zero variance, where skewness and kurtosis are undefined, and
+    on NaN or infinite samples.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
     if n < 2:
         raise DegenerateSeriesError(f"need at least 2 samples, got {n}")
+    if not np.isfinite(x).all():
+        raise DegenerateSeriesError("non-finite sample value")
     mean = x.mean()
     centered = x - mean
     m2 = np.mean(centered**2)

@@ -174,6 +174,24 @@ class TestMetricReport:
         assert m.failures["mean_log_return"] == "empty window"
         assert "hall_wood_full" in m.values
 
+    def test_non_finite_cell_is_failed(self):
+        m = MarketMetrics(id="X", kind="stock index")
+        m.values.update(a=float("nan"), b=float("inf"), c=3.0)
+        assert m.cell("a") == "FAILED: non-finite value nan"
+        assert m.cell("b") == "FAILED: non-finite value inf"
+        assert m.cell("c") == "3"
+
+    def test_non_finite_metric_becomes_failure(self, table2, monkeypatch):
+        from marketcomplexity import lzw
+
+        monkeypatch.setattr(lzw, "compressibility", lambda data: float("nan"))
+        s = daily_series([1.0 + 0.01 * ((i * 7) % 13) for i in range(60)])
+        m = compute_market_metrics(s, s, table2)
+        assert "compressibility_binary" not in m.values
+        assert m.failures["compressibility_binary"] == "non-finite value nan"
+        assert m.failures["compressibility_real"] == "non-finite value nan"
+        assert "bdm_normalized" in m.values
+
     def test_csv_shape(self, table2):
         from marketcomplexity.analysis import METRIC_COLUMNS
 

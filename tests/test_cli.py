@@ -6,14 +6,13 @@ import pytest
 
 from marketcomplexity import __version__
 from marketcomplexity.bdm import CtmTable
-from marketcomplexity.bdm.machines import enumerate_range
-from marketcomplexity.cli import (
+from marketcomplexity.bdm.machines import (
     _shard_path,
     _write_shard,
-    build_parser,
-    main,
-    parse_config,
+    enumerate_range,
+    shard_ranges,
 )
+from marketcomplexity.cli import build_parser, main, parse_config
 
 
 def write_market(dir, name, prices, start=date(2013, 1, 1)):
@@ -189,6 +188,38 @@ class TestCtmGen:
         assert rc == 0
         assert out.read_bytes() == ref.read_bytes()
 
+    def test_resume_after_interruption(self, tmp_path, capsys, monkeypatch):
+        from marketcomplexity.bdm import machines
+
+        ref = tmp_path / "ref.tsv"
+        assert main(["ctm-gen", "--states", "2", "--out", str(ref)]) == 0
+
+        # interrupt a 4-shard run in its last shard, then lose shard 1 too
+        out = tmp_path / "resumed.tsv"
+        calls = []
+        real = machines.enumerate_range
+
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(machines, "enumerate_range", interrupted)
+        argv = ["ctm-gen", "--states", "2", "--out", str(out), "--shards", "4"]
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert sorted(p.name for p in tmp_path.glob("*.shard*")) == [
+            f"resumed.tsv.shard{i:03d}of004" for i in range(3)
+        ]
+        _shard_path(out, 1, 4).unlink()
+
+        calls.clear()
+        assert main(argv + ["--resume"]) == 0
+        assert [c[2] for c in calls] == [s for s, _ in shard_ranges(2, 4)[1::2]]
+        assert out.read_bytes() == ref.read_bytes()
+        assert not list(tmp_path.glob("*.shard*"))
+
     def test_stale_checkpoint_rejected(self, tmp_path, capsys):
         out = tmp_path / "ctm.tsv"
         _write_shard(
@@ -200,6 +231,15 @@ class TestCtmGen:
             ["ctm-gen", "--states", "2", "--out", str(out), "--shards", "4", "--resume"]
         )
         assert rc == 2
+
+    def test_unreadable_checkpoint_rejected(self, tmp_path, capsys):
+        out = tmp_path / "ctm.tsv"
+        _shard_path(out, 0, 4).write_text("# states=2 halting=x\n0\t1\n", encoding="utf-8")
+        rc = main(
+            ["ctm-gen", "--states", "2", "--out", str(out), "--shards", "4", "--resume"]
+        )
+        assert rc == 2
+        assert "unreadable shard checkpoint" in capsys.readouterr().err
 
     def test_states4_requires_budget(self, tmp_path, capsys):
         assert main(["ctm-gen", "--states", "4", "--out", str(tmp_path / "x")]) == 2
@@ -332,6 +372,36 @@ class TestReportCommand:
         for body in cases:
             cfg = write_config(tmp_path, body)
             assert main(["report", "--config", str(cfg)]) == 2, body
+
+    def test_infinite_price_exit_2(self, tmp_path, capsys):
+        a = write_market(tmp_path, "a.csv", walk_prices(15))
+        b = write_market(tmp_path, "b.csv", walk_prices(16)[:28] + ["inf"] + walk_prices(16)[29:])
+        cfg = write_config(
+            tmp_path,
+            f"market = A, stock index, {a}\n"
+            f"market = B, stock index, {b}\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["report", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "line 29" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_returns_exit_1(self, tmp_path, capsys):
+        a = write_market(tmp_path, "a.csv", walk_prices(17))
+        b = write_market(tmp_path, "b.csv", ["1e308", "1e-308"] * 30)
+        cfg = write_config(
+            tmp_path,
+            f"market = A, stock index, {a}\n"
+            f"market = B, stock index, {b}\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        with np.errstate(all="ignore"):
+            assert main(["report", "--config", str(cfg)]) == 1
+        row = (tmp_path / "out" / "report.csv").read_text().splitlines()[-1]
+        assert row.startswith("B,")
+        assert row.count("FAILED: non-finite sample value") == 4
+        assert "B histogram: non-finite sample value" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["report", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -91,6 +91,12 @@ class TestParseCsv:
         with pytest.raises(CsvParseError):
             parse_csv(b"2013-04-09,0\n2013-04-10,1", "X", "stock index")
 
+    @pytest.mark.parametrize("price", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_price_errors(self, price):
+        data = f"2013-04-09,1\n2013-04-10,2\n2013-04-11,{price}\n"
+        with pytest.raises(CsvParseError, match="line 3"):
+            parse_csv(data, "X", "stock index")
+
     def test_duplicate_date_rejected(self):
         with pytest.raises(CsvParseError, match="duplicate"):
             parse_csv(b"2013-04-09,1\n2013-04-09,2", "X", "stock index")

@@ -1,9 +1,13 @@
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from marketcomplexity.bdm import machines
 from marketcomplexity.bdm.machines import (
     KNOWN_STEP_BOUNDS,
+    _region_counts,
     enumerate_machines,
     enumerate_range,
     machine_count,
@@ -45,21 +49,66 @@ class TestRunMachine:
         assert outs and all(o in ("0", "1") for o in outs)
 
 
+def reference_range(states, step_bound, start, stop):
+    counts = Counter()
+    halting = 0
+    for i in range(start, stop):
+        out = run_machine(i, states, step_bound)
+        if out is not None:
+            counts[out] += 1
+            halting += 1
+    return counts, halting
+
+
+THREE = machine_count(3)
+
+
 class TestKernelAgainstReference:
     def test_counts_match_pure_python(self):
-        # the compiled kernel and the reference simulator must agree
-        # machine-by-machine on a full small ensemble
+        # the lockstep kernel and the reference simulator must agree on the
+        # full 2-state ensemble
         states, bound = 2, KNOWN_STEP_BOUNDS[2]
-        expected = Counter()
-        halting = 0
-        for i in range(machine_count(states)):
-            out = run_machine(i, states, bound)
-            if out is not None:
-                expected[out] += 1
-                halting += 1
-        got_counts, got_halting = enumerate_range(states, bound, 0, machine_count(states))
-        assert got_halting == halting
-        assert got_counts == expected
+        got = enumerate_range(states, bound, 0, machine_count(states))
+        assert got == reference_range(states, bound, 0, machine_count(states))
+
+    @given(st.integers(0, THREE), st.integers(0, 400))
+    @example(0, 0)
+    @example(0, 1)
+    @example(THREE - 1, 1)
+    @example(THREE, 0)
+    @example(THREE - 400, 400)
+    def test_three_state_slices(self, start, length):
+        stop = min(start + length, THREE)
+        bound = KNOWN_STEP_BOUNDS[3]
+        assert enumerate_range(3, bound, start, stop) == reference_range(
+            3, bound, start, stop
+        )
+
+    def test_slices_across_batches(self, monkeypatch):
+        monkeypatch.setattr(machines, "BATCH", 97)
+        bound = KNOWN_STEP_BOUNDS[3]
+        start, stop = 1_000_000, 1_003_000
+        assert enumerate_range(3, bound, start, stop) == reference_range(
+            3, bound, start, stop
+        )
+
+    def test_step_bound_beyond_int64_outputs(self):
+        # a tape wider than 64 cells; every step bound at or above the known
+        # one is accepted
+        assert enumerate_range(2, 70, 0, 2000) == reference_range(2, 70, 0, 2000)
+
+    def test_regions_longer_than_64_bits(self):
+        rng = np.random.default_rng(3)
+        tape = rng.integers(0, 2, 300).astype(np.uint8)
+        lo = np.array([0, 5, 5, 100, 0, 299, 17, 150])
+        hi = np.array([99, 68, 69, 100, 299, 299, 80, 212])
+        text = "".join(map(str, tape))
+        expected = Counter(text[a : b + 1] for a, b in zip(lo, hi))
+        assert _region_counts(tape, lo, hi) == expected
+        # leading zeros are kept: "0", "00" and "000" are distinct strings
+        zeros = np.zeros(8, dtype=np.uint8)
+        got = _region_counts(zeros, np.array([0, 0, 1, 2]), np.array([0, 1, 2, 4]))
+        assert got == Counter({"0": 1, "00": 2, "000": 1})
 
 
 class TestEnumerate:

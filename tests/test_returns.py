@@ -57,6 +57,11 @@ class TestMoments:
         with pytest.raises(DegenerateSeriesError):
             moments([1, 1, 1, 1])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sample_errors(self, bad):
+        with pytest.raises(DegenerateSeriesError, match="non-finite"):
+            moments([0.1, bad, -0.2])
+
     def test_two_point_closed_form(self):
         st_ = moments([-1, 1])
         assert st_.mean == 0.0
