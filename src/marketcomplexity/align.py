@@ -29,9 +29,6 @@ class LinearTimeMap:
     def apply(self, t):
         return self.slope * np.asarray(t, dtype=float) + self.intercept
 
-    def inverse(self) -> "LinearTimeMap":
-        return LinearTimeMap(1.0 / self.slope, -self.intercept / self.slope)
-
 
 @dataclass(frozen=True)
 class AlignedPair:
@@ -71,22 +68,26 @@ def detect_peaks(s: PriceSeries, k: int) -> list[tuple[float, float]]:
         raise ValueError("k must be at least 1")
     if len(s) < 3:
         raise AlignmentError(f"series {s.id!r} too short for peak detection")
-    prices = s.prices()
-    times = s.abs_times()
-    maxima = []
-    n = len(prices)
-    for i in range(n):
-        left_ok = i == 0 or prices[i] > prices[i - 1]
-        right_ok = i == n - 1 or prices[i] > prices[i + 1]
-        if left_ok and right_ok:
-            maxima.append(i)
+    prices = s.prices
+    left_ok = np.concatenate(([True], prices[1:] > prices[:-1]))
+    right_ok = np.concatenate((prices[:-1] > prices[1:], [True]))
+    maxima = np.flatnonzero(left_ok & right_ok)
     if len(maxima) < k:
         raise AlignmentError(
             f"series {s.id!r}: found {len(maxima)} local maxima, need {k}"
         )
-    maxima.sort(key=lambda i: (-prices[i], times[i]))
-    top = sorted(maxima[:k], key=lambda i: times[i])
+    # highest first; a stable sort keeps equal peaks in time order
+    by_height = maxima[np.argsort(-prices[maxima], kind="stable")]
+    top = np.sort(by_height[:k])
+    times = s.abs_times()
     return [(float(times[i]), float(prices[i])) for i in top]
+
+
+def peak_anchors(s: PriceSeries) -> tuple[float, float]:
+    """Times of the two largest price peaks: the anchors that put one
+    market on another's clock."""
+    (t1, _), (t2, _) = detect_peaks(s, 2)
+    return t1, t2
 
 
 def fit_time_map(

@@ -57,12 +57,6 @@ class MarketMetrics:
 class MetricReport:
     markets: list[MarketMetrics]
 
-    def market(self, id: str) -> MarketMetrics:
-        for m in self.markets:
-            if m.id == id:
-                return m
-        raise KeyError(id)
-
     def to_csv(self) -> str:
         import csv
 
@@ -118,15 +112,8 @@ def compute_market_metrics(
         return _fail_non_finite(m)
     m.values["n_window"] = len(windowed)
 
-    logret_holder = {}
-
-    def stats():
-        logret = returns.log_returns(windowed)
-        logret_holder["x"] = logret
-        return returns.moments(logret)
-
     try:
-        st = stats()
+        st = returns.moments(returns.log_returns(windowed))
         m.values["mean_log_return"] = st.mean
         m.values["std_log_return"] = st.std_dev
         m.values["kurtosis"] = st.kurtosis
@@ -135,22 +122,17 @@ def compute_market_metrics(
         for col in ("mean_log_return", "std_log_return", "kurtosis", "skewness"):
             m.failures[col] = str(exc)
 
-    bits_holder = {}
-
-    def bits():
-        if "b" not in bits_holder:
-            bits_holder["b"] = encode.binarize(windowed)
-        return bits_holder["b"]
+    moves = encode.binarize(windowed)
 
     def blockent():
-        r = entropy.block_entropy(bits().to_ascii(), max_block=max_block)
+        r = entropy.block_entropy(moves.to_ascii(), max_block=max_block)
         m.values["block_entropy_bits"] = r.bits
         return r.normalized
 
     attempt("block_entropy_normalized", blockent)
     attempt(
         "compressibility_binary",
-        lambda: lzw.compressibility(bits().to_ascii().encode("ascii")),
+        lambda: lzw.compressibility(moves.to_ascii().encode("ascii")),
     )
     attempt(
         "compressibility_real",
@@ -158,7 +140,7 @@ def compute_market_metrics(
     )
 
     def bdm_metrics():
-        r = bdm_fn(bits(), ctm_table, d=bdm_d, overlap=bdm_overlap)
+        r = bdm_fn(moves, ctm_table, d=bdm_d, overlap=bdm_overlap)
         m.values["bdm_bits"] = r.k_estimate
         m.values["bdm_deficiency"] = r.deficiency
         m.values["bdm_blocks_missing"] = r.blocks_missing_from_table

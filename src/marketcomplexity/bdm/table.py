@@ -69,7 +69,10 @@ class CtmTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "CtmTable":
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise TableFormatError(f"{path}: cannot read table: {exc}")
         lines = text.splitlines()
         if not lines or not lines[0].startswith("# "):
             raise TableFormatError(f"{path}: missing header line")

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, align as align_mod, encode, entropy as entropy_mod
 from . import fractal as fractal_mod, lzw as lzw_mod, returns as returns_mod
 from .analysis import (
@@ -31,7 +33,11 @@ def _read_series(path: str, id: str | None, kind: str) -> PriceSeries:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"input file not found: {path}")
-    return parse_csv(p.read_bytes(), id=id or p.stem, kind=kind)
+    try:
+        data = p.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read input file {path}: {exc}")
+    return parse_csv(data, id=id or p.stem, kind=kind)
 
 
 def _file_header(config_hash: str = "none") -> str:
@@ -83,9 +89,13 @@ def parse_config(path: str) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
-    raw = p.read_bytes()
+    try:
+        raw = p.read_bytes()
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     cfg = RunConfig(config_hash=hashlib.sha256(raw).hexdigest()[:12])
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -132,20 +142,6 @@ def _apply_config_key(cfg: RunConfig, key: str, value: str) -> None:
         raise ConfigError(f"unknown config key {key!r}")
 
 
-def _window_series(s: PriceSeries, cfg: RunConfig) -> PriceSeries | None:
-    if cfg.window_start is None and cfg.window_end is None:
-        return s
-    pts = [
-        p
-        for p in s.points
-        if (cfg.window_start is None or p.timestamp >= cfg.window_start)
-        and (cfg.window_end is None or p.timestamp <= cfg.window_end)
-    ]
-    if len(pts) < 2:
-        return None
-    return PriceSeries(id=s.id, kind=s.kind, points=tuple(pts))
-
-
 def _default_table() -> CtmTable:
     # fast, deterministic stand-in when no table file is configured
     from .bdm import enumerate_machines
@@ -171,57 +167,47 @@ def cmd_report(args) -> int:
         series = {
             id: _read_series(path, id, kind) for id, kind, path in cfg.markets
         }
-    except MarketComplexityError as exc:
+        outdir = Path(cfg.output_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (MarketComplexityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     header = _file_header(cfg.config_hash)
 
     rows = []
+    failures = []
     for id, kind, _ in cfg.markets:
         full = series[id]
-        windowed = _window_series(full, cfg)
-        rows.append(
-            compute_market_metrics(
-                full,
-                windowed,
-                table,
-                max_block=cfg.max_block,
-                bdm_d=cfg.bdm_d,
-                bdm_overlap=cfg.bdm_overlap,
-                hw_L=cfg.fractal_L,
-            )
+        windowed = full.window(cfg.window_start, cfg.window_end)
+        m = compute_market_metrics(
+            full,
+            windowed,
+            table,
+            max_block=cfg.max_block,
+            bdm_d=cfg.bdm_d,
+            bdm_overlap=cfg.bdm_overlap,
+            hw_L=cfg.fractal_L,
         )
-    report = MetricReport(rows)
-    (outdir / "report.csv").write_text(header + report.to_csv(), encoding="utf-8")
-
-    failures = []
-    for m in report.markets:
-        windowed = _window_series(series[m.id], cfg)
         if windowed is not None:
             try:
                 hist = returns_mod.build_histogram(returns_mod.log_returns(windowed))
-                (outdir / f"{m.id}_hist.csv").write_text(
+                (outdir / f"{id}_hist.csv").write_text(
                     header + hist.to_csv(), encoding="utf-8"
                 )
             except MarketComplexityError as exc:
                 m.failures.setdefault("histogram", str(exc))
-        failures.extend((m.id, name, reason) for name, reason in sorted(m.failures.items()))
+        rows.append(m)
+        failures.extend((id, name, reason) for name, reason in sorted(m.failures.items()))
+    report = MetricReport(rows)
+    (outdir / "report.csv").write_text(header + report.to_csv(), encoding="utf-8")
 
     for src_id, dst_id in cfg.pairs:
         name = f"{src_id}__{dst_id}_aligned.csv"
         try:
             src, dst = series[src_id], series[dst_id]
-            src_peaks = align_mod.detect_peaks(src, 2)
-            dst_peaks = align_mod.detect_peaks(dst, 2)
-            pair = align_mod.align(
-                src.sampled(),
-                dst.sampled(),
-                (src_peaks[0][0], src_peaks[1][0]),
-                (dst_peaks[0][0], dst_peaks[1][0]),
-            )
+            anchors = align_mod.peak_anchors(src), align_mod.peak_anchors(dst)
+            pair = align_mod.align(src.sampled(), dst.sampled(), *anchors)
             (outdir / name).write_text(header + pair.to_csv(), encoding="utf-8")
         except MarketComplexityError as exc:
             failures.append((f"{src_id}__{dst_id}", "alignment", str(exc)))
@@ -290,17 +276,9 @@ def cmd_ingest(args) -> int:
 def cmd_align(args) -> int:
     src = _read_series(args.src, args.src_id, args.src_kind)
     dst = _read_series(args.dst, args.dst_id, args.dst_kind)
-    src_peaks = align_mod.detect_peaks(src, 2)
-    dst_peaks = align_mod.detect_peaks(dst, 2)
-    m = align_mod.fit_time_map(
-        (src_peaks[0][0], src_peaks[1][0]), (dst_peaks[0][0], dst_peaks[1][0])
-    )
-    pair = align_mod.align(
-        src.sampled(),
-        dst.sampled(),
-        (src_peaks[0][0], src_peaks[1][0]),
-        (dst_peaks[0][0], dst_peaks[1][0]),
-    )
+    anchors = align_mod.peak_anchors(src), align_mod.peak_anchors(dst)
+    m = align_mod.fit_time_map(*anchors)
+    pair = align_mod.align(src.sampled(), dst.sampled(), *anchors)
     print(f"slope={m.slope!r} intercept={m.intercept!r} points={len(pair)}")
     if args.out:
         Path(args.out).write_text(_file_header() + pair.to_csv(), encoding="utf-8")
@@ -367,13 +345,11 @@ def cmd_fractal(args) -> int:
 def cmd_correlate(args) -> int:
     src = _read_series(args.src, args.src_id, args.src_kind)
     dst = _read_series(args.dst, args.dst_id, args.dst_kind)
-    src_peaks = align_mod.detect_peaks(src, 2)
-    dst_peaks = align_mod.detect_peaks(dst, 2)
     value = correlate_markets(
         src,
         dst,
-        (src_peaks[0][0], src_peaks[1][0]),
-        (dst_peaks[0][0], dst_peaks[1][0]),
+        align_mod.peak_anchors(src),
+        align_mod.peak_anchors(dst),
         movements=args.movements,
     )
     what = "movements" if args.movements else "prices"
@@ -476,7 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # overflow and division by zero surface as failures or errors with
+        # reasons; numpy's own warnings about them would only add noise
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except MarketComplexityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,47 +11,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, SeriesTooShortError
+from .errors import DegenerateSeriesError
 from .ingest import PriceSeries, format_price
 
 
 @dataclass(frozen=True)
 class BinaryMovementSeries:
-    bits: tuple[int, ...]
+    """Movements as ASCII text, one '0' or '1' per price change."""
+
+    text: str
     source_id: str
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
+        if self.text.strip("01"):
+            raise ValueError("movement text may contain only '0' and '1'")
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return len(self.text)
 
     def to_ascii(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    @classmethod
-    def from_ascii(cls, text: str, source_id: str = "") -> "BinaryMovementSeries":
-        text = text.strip()
-        if not set(text) <= {"0", "1"}:
-            raise ValueError("movement string may contain only '0' and '1'")
-        return cls(tuple(int(c) for c in text), source_id)
+        return self.text
 
 
 def binarize(s: PriceSeries, strict: bool = False) -> BinaryMovementSeries:
     """Up/down encoding of consecutive price changes; one bit per change."""
-    prices = s.prices()
-    if len(prices) < 2:
-        raise SeriesTooShortError(f"series {s.id!r} too short to binarize")
-    diffs = np.diff(prices)
+    diffs = np.diff(s.prices)
     if strict and np.any(diffs == 0):
         raise DegenerateSeriesError(
             f"series {s.id!r} has a zero price change (strict mode)"
         )
-    return BinaryMovementSeries(tuple(int(d > 0) for d in diffs), s.id)
+    ups = (diffs > 0).astype(np.uint8) + ord("0")
+    return BinaryMovementSeries(ups.tobytes().decode("ascii"), s.id)
 
 
 def serialize_prices(s: PriceSeries) -> bytes:
     """Canonical comma-joined decimal text of the prices, for feeding the
     real-value path of a generic lossless compressor."""
-    return ",".join(format_price(p) for p in s.prices()).encode("ascii")
+    return ",".join(map(format_price, s.prices.tolist())).encode("ascii")

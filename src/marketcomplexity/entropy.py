@@ -56,9 +56,3 @@ def block_entropy(
     denom = max_block * (max_block + 1) / 2
     return EntropyResult(bits=total, normalized=min(total / denom, 1.0), block_max=max_block)
 
-
-def randomness_deficiency(value: float, length: int) -> float:
-    """A complexity value divided by the sequence length it describes."""
-    if length <= 0:
-        raise ValueError("length must be positive")
-    return value / length

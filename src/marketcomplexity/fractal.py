@@ -50,7 +50,7 @@ class DimensionEstimate:
 def to_unit_grid(s: PriceSeries) -> UnitGridSeries:
     """Drop real timestamps and place the prices on the unit grid, treating
     the series as equally spaced daily closes."""
-    return UnitGridSeries.from_values(s.prices())
+    return UnitGridSeries.from_values(s.prices)
 
 
 def hw_area(g: UnitGridSeries, l: int) -> float:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from dataclasses import dataclass
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 
@@ -20,6 +20,9 @@ EPOCH = datetime(1900, 1, 1, tzinfo=timezone.utc)
 KINDS = ("cryptocurrency", "precious metal", "foreign exchange", "stock index")
 
 _DMY_RE = re.compile(r"^(\d{2})/(\d{2})/(\d{4})$")
+
+_US = timedelta(microseconds=1)
+DAY_US = 86_400_000_000
 
 
 def to_absolute_time(d: datetime | date) -> float:
@@ -32,6 +35,16 @@ def to_absolute_time(d: datetime | date) -> float:
     if seconds < 0:
         raise ValueError(f"date {d.isoformat()} precedes the 1900-01-01 epoch")
     return seconds
+
+
+def epoch_us(d: datetime) -> int:
+    """Whole microseconds from the epoch to an aware date-time; negative
+    before the epoch."""
+    return (d - EPOCH) // _US
+
+
+def from_epoch_us(us: int) -> datetime:
+    return EPOCH + timedelta(microseconds=int(us))
 
 
 def parse_date(text: str) -> datetime:
@@ -51,8 +64,11 @@ def parse_date(text: str) -> datetime:
             f"unrecognized date {text!r} (expected ISO-8601 or DD/MM/YYYY)"
         ) from None
     if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
+        return parsed.replace(tzinfo=timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"date {text!r} falls outside years 1-9999 in UTC") from None
 
 
 @dataclass(frozen=True)
@@ -65,39 +81,70 @@ class PricePoint:
             raise ValueError(f"price must be positive, got {self.price}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """A named, time-ordered close-price history for one market."""
+    """A named, time-ordered close-price history for one market, held as
+    two read-only columns: `times` in whole microseconds since the 1900-01-01
+    UTC epoch (int64) and `prices` (float64)."""
 
     id: str
     kind: str
-    points: tuple[PricePoint, ...]
+    times: np.ndarray
+    prices: np.ndarray
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown product kind {self.kind!r}, expected one of {KINDS}")
-        if len(self.points) < 2:
+        times = np.array(self.times, dtype=np.int64)
+        prices = np.array(self.prices, dtype=np.float64)
+        if times.shape != prices.shape or times.ndim != 1:
+            raise ValueError(f"series {self.id!r}: times and prices length mismatch")
+        if len(times) < 2:
             raise SeriesTooShortError(
-                f"series {self.id!r} has {len(self.points)} points, need at least 2"
+                f"series {self.id!r} has {len(times)} points, need at least 2"
             )
-        for a, b in zip(self.points, self.points[1:]):
-            if a.timestamp >= b.timestamp:
-                raise ValueError(
-                    f"series {self.id!r}: timestamps not strictly increasing "
-                    f"at {b.timestamp.isoformat()}"
-                )
+        if not (prices > 0).all():
+            raise ValueError(f"price must be positive, got {prices[~(prices > 0)][0]}")
+        steps = np.flatnonzero(np.diff(times) <= 0)
+        if len(steps):
+            raise ValueError(
+                f"series {self.id!r}: timestamps not strictly increasing "
+                f"at {from_epoch_us(times[steps[0] + 1]).isoformat()}"
+            )
+        times.flags.writeable = prices.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "prices", prices)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.times)
 
-    def prices(self) -> np.ndarray:
-        return np.array([p.price for p in self.points], dtype=float)
+    @property
+    def points(self) -> tuple[PricePoint, ...]:
+        """Per-point (datetime, price) view, built on each access."""
+        return tuple(
+            PricePoint(from_epoch_us(t), p)
+            for t, p in zip(self.times.tolist(), self.prices.tolist())
+        )
 
     def abs_times(self) -> np.ndarray:
-        return np.array([to_absolute_time(p.timestamp) for p in self.points])
+        """Seconds since the epoch: the float nearest each times / 10**6."""
+        # below 2**53 the cast to float64 is exact and one division rounds
+        # once; above it, whole seconds are exact and adding the fraction
+        # cannot round differently from the exact quotient
+        whole, us = np.divmod(self.times, 1_000_000)
+        return np.where(self.times < 2**53, self.times / 1e6, whole + us / 1e6)
 
     def sampled(self) -> "SampledSeries":
-        return SampledSeries(self.id, self.abs_times(), self.prices())
+        return SampledSeries(self.id, self.abs_times(), self.prices)
+
+    def window(self, start: datetime | None, end: datetime | None) -> "PriceSeries | None":
+        """The points with start <= time <= end (an open end when None), or
+        None when fewer than 2 remain."""
+        lo = 0 if start is None else np.searchsorted(self.times, epoch_us(start))
+        hi = len(self) if end is None else np.searchsorted(self.times, epoch_us(end), "right")
+        if hi - lo < 2:
+            return None
+        return PriceSeries(self.id, self.kind, self.times[lo:hi], self.prices[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -130,15 +177,16 @@ def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
     """Parse `date,price` lines into a validated PriceSeries.
 
     A single header line is tolerated. Duplicate calendar days are rejected
-    rather than averaged.
+    rather than averaged, and so are dates before the 1900 epoch.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CsvParseError(f"input is not UTF-8: {exc}")
-    points = []
-    seen_days: set[date] = set()
+    times: list[int] = []
+    prices: list[float] = []
+    seen_days: set[int] = set()
     for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -158,17 +206,23 @@ def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
             raise CsvParseError(f"invalid price {parts[1]!r}", line=lineno)
         if not 0 < price < math.inf:
             raise CsvParseError(f"price {parts[1]!r} is not positive and finite", line=lineno)
-        day = ts.date()
+        us = epoch_us(ts)
+        if us < 0:
+            raise CsvParseError(
+                f"date {ts.isoformat()} precedes the 1900-01-01 epoch", line=lineno
+            )
+        day = us // DAY_US
         if day in seen_days:
-            raise CsvParseError(f"duplicate date {day.isoformat()}", line=lineno)
+            raise CsvParseError(f"duplicate date {ts.date().isoformat()}", line=lineno)
         seen_days.add(day)
-        points.append(PricePoint(ts, price))
-    if len(points) < 2:
+        times.append(us)
+        prices.append(price)
+    if len(times) < 2:
         raise SeriesTooShortError(
-            f"series {id!r}: parsed {len(points)} points, need at least 2"
+            f"series {id!r}: parsed {len(times)} points, need at least 2"
         )
-    points.sort(key=lambda p: p.timestamp)
-    return PriceSeries(id=id, kind=kind, points=tuple(points))
+    order = np.argsort(times, kind="stable")
+    return PriceSeries(id, kind, np.array(times)[order], np.array(prices)[order])
 
 
 def _looks_like_record(parts: list[str]) -> bool:
@@ -183,11 +237,8 @@ def _looks_like_record(parts: list[str]) -> bool:
 def serialize_csv(series: PriceSeries) -> str:
     """Canonical serialization: ISO-8601 dates, full-precision prices."""
     lines = []
-    for p in series.points:
-        ts = p.timestamp
-        if (ts.hour, ts.minute, ts.second, ts.microsecond) == (0, 0, 0, 0):
-            stamp = ts.date().isoformat()
-        else:
-            stamp = ts.replace(tzinfo=None).isoformat()
-        lines.append(f"{stamp},{format_price(p.price)}")
+    for us, price in zip(series.times.tolist(), series.prices.tolist()):
+        ts = from_epoch_us(us).replace(tzinfo=None)
+        stamp = ts.date().isoformat() if us % DAY_US == 0 else ts.isoformat()
+        lines.append(f"{stamp},{format_price(price)}")
     return "\n".join(lines) + "\n"

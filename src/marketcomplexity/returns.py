@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .errors import DegenerateSeriesError, SeriesTooShortError
+from .errors import DegenerateSeriesError
 from .ingest import PriceSeries
 
 
@@ -48,10 +48,7 @@ class HistogramSpec:
 
 def daily_returns(s: PriceSeries) -> np.ndarray:
     """return(n) = price(n) / price(n-1), one per consecutive day pair."""
-    prices = s.prices()
-    if len(prices) < 2:
-        raise SeriesTooShortError(f"series {s.id!r} too short for returns")
-    return prices[1:] / prices[:-1]
+    return s.prices[1:] / s.prices[:-1]
 
 
 def log_returns(s: PriceSeries) -> np.ndarray:

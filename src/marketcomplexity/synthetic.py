@@ -7,11 +7,11 @@ depend on them.
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 
-from .ingest import PricePoint, PriceSeries
+from .ingest import DAY_US, PriceSeries, epoch_us
 
 
 def random_walk(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -60,10 +60,8 @@ def path_to_series(
     if spread == 0:
         spread = 1.0
     prices = 100.0 * np.exp(scale * path / spread)
-    points = tuple(
-        PricePoint(start + timedelta(days=i), float(p)) for i, p in enumerate(prices)
-    )
-    return PriceSeries(id=id, kind=kind, points=points)
+    times = epoch_us(start) + DAY_US * np.arange(len(prices), dtype=np.int64)
+    return PriceSeries(id=id, kind=kind, times=times, prices=prices)
 
 
 # (id, kind, generator): FX-like markets are smooth (high-Hurst) paths,

@@ -1,18 +1,17 @@
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
 from marketcomplexity.bdm import ctm_from_frequency, enumerate_machines
-from marketcomplexity.ingest import PricePoint, PriceSeries
+from marketcomplexity.ingest import DAY_US, PriceSeries, epoch_us
 
 START = datetime(2013, 1, 1, tzinfo=timezone.utc)
 
 
 def daily_series(prices, id="TEST", kind="stock index", start=START):
-    points = tuple(
-        PricePoint(start + timedelta(days=i), float(p)) for i, p in enumerate(prices)
-    )
-    return PriceSeries(id=id, kind=kind, points=points)
+    times = epoch_us(start) + DAY_US * np.arange(len(prices))
+    return PriceSeries(id=id, kind=kind, times=times, prices=prices)
 
 
 @pytest.fixture(scope="session")

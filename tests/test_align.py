@@ -44,8 +44,12 @@ class TestDetectPeaks:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            prices = rng.uniform(1, 100, size=30)
+        for trial in range(100):
+            # odd trials draw from a few levels, so equal peaks and flat runs occur
+            if trial % 2:
+                prices = rng.integers(1, 5, size=30).astype(float)
+            else:
+                prices = rng.uniform(1, 100, size=30)
             s = daily_series(prices)
             n = len(prices)
             maxima = [
@@ -54,9 +58,13 @@ class TestDetectPeaks:
                 if (i == 0 or prices[i] > prices[i - 1])
                 and (i == n - 1 or prices[i] > prices[i + 1])
             ]
+            if len(maxima) < 2:
+                with pytest.raises(AlignmentError):
+                    detect_peaks(s, 2)
+                continue
             expected = sorted(sorted(maxima, key=lambda i: -prices[i])[:2])
             got = detect_peaks(s, 2)
-            assert [p for _, p in got] == [float(prices[i]) for i in expected]
+            assert got == [(s.abs_times()[i], prices[i]) for i in expected]
 
 
 class TestFitTimeMap:
@@ -86,18 +94,6 @@ class TestFitTimeMap:
     def test_coincident_anchors_error(self):
         with pytest.raises(AlignmentError):
             fit_time_map((5.0, 5.0), (1.0, 2.0))
-
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            a = np.sort(rng.uniform(0, 1e9, 2))
-            b = np.sort(rng.uniform(0, 1e9, 2))
-            if a[0] == a[1] or b[0] == b[1]:
-                continue
-            m = fit_time_map(tuple(a), tuple(b))
-            inv = m.inverse()
-            for t in a:
-                assert inv.apply(m.apply(t)) == pytest.approx(t, rel=1e-9)
 
     def test_negative_slope_rejected(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ class TestFormula:
         assert r.k_estimate == pytest.approx(table3.k("0000") + table3.k("1111"))
 
     def test_accepts_movement_series(self, table3):
-        b = BinaryMovementSeries((0, 0, 0, 0, 1, 1, 1, 1), "X")
+        b = BinaryMovementSeries("00001111", "X")
         assert bdm(b, table3).k_estimate == bdm("00001111", table3).k_estimate
 
     def test_overlapping_windows(self, table3):

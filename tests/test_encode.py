@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from marketcomplexity.encode import BinaryMovementSeries, binarize, serialize_prices
@@ -8,13 +9,13 @@ from conftest import daily_series
 
 class TestBinarize:
     def test_monotone_rise(self):
-        assert binarize(daily_series([1, 2, 3])).bits == (1, 1)
+        assert binarize(daily_series([1, 2, 3])).to_ascii() == "11"
 
     def test_monotone_fall(self):
-        assert binarize(daily_series([3, 2, 1])).bits == (0, 0)
+        assert binarize(daily_series([3, 2, 1])).to_ascii() == "00"
 
     def test_tie_maps_to_zero(self):
-        assert binarize(daily_series([1, 2, 2, 1])).bits == (1, 0, 0)
+        assert binarize(daily_series([1, 2, 2, 1])).to_ascii() == "100"
 
     def test_strict_mode_rejects_tie(self):
         with pytest.raises(DegenerateSeriesError):
@@ -27,22 +28,29 @@ class TestBinarize:
     def test_positive_scaling_invariance(self):
         prices = [1.5, 2.5, 2.0, 3.0, 2.9]
         assert (
-            binarize(daily_series(prices)).bits
-            == binarize(daily_series([p * 7 for p in prices])).bits
+            binarize(daily_series(prices)).to_ascii()
+            == binarize(daily_series([p * 7 for p in prices])).to_ascii()
         )
 
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            prices = rng.integers(1, 4, size=50).astype(float)
+            expected = "".join("1" if b > a else "0" for a, b in zip(prices, prices[1:]))
+            assert binarize(daily_series(prices)).to_ascii() == expected
+
     def test_alternating(self):
-        assert binarize(daily_series([1, 2, 1, 2, 1])).bits == (1, 0, 1, 0)
+        assert binarize(daily_series([1, 2, 1, 2, 1])).to_ascii() == "1010"
 
 
 class TestAsciiRoundtrip:
     def test_roundtrip(self):
-        b = BinaryMovementSeries((1, 0, 0, 1), "X")
-        assert BinaryMovementSeries.from_ascii(b.to_ascii(), "X") == b
+        b = binarize(daily_series([1, 2, 1, 1, 2]))
+        assert BinaryMovementSeries(b.to_ascii(), b.source_id) == b
 
     def test_invalid_chars(self):
         with pytest.raises(ValueError):
-            BinaryMovementSeries.from_ascii("01x0")
+            BinaryMovementSeries("01x0", "X")
 
 
 class TestSerializePrices:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from marketcomplexity.entropy import block_entropy, randomness_deficiency, shannon_entropy
+from marketcomplexity.entropy import block_entropy, shannon_entropy
 from marketcomplexity.errors import SeriesTooShortError
 
 
@@ -90,19 +90,3 @@ class TestBlockEntropy:
         r = block_entropy(s, max_block=4)
         assert 0.0 <= r.normalized <= 1.0
 
-
-class TestRandomnessDeficiency:
-    def test_full(self):
-        assert randomness_deficiency(8, 8) == 1.0
-
-    def test_zero(self):
-        assert randomness_deficiency(0, 100) == 0.0
-
-    def test_from_entropy_example(self):
-        assert randomness_deficiency(shannon_entropy("0001"), 4) == pytest.approx(
-            0.2028, abs=1e-4
-        )
-
-    def test_zero_length_errors(self):
-        with pytest.raises(ValueError):
-            randomness_deficiency(1.0, 0)

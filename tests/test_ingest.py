@@ -1,11 +1,14 @@
 from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from marketcomplexity.errors import CsvParseError, SeriesTooShortError
 from marketcomplexity.ingest import (
     EPOCH,
+    PriceSeries,
+    epoch_us,
     parse_csv,
     parse_date,
     serialize_csv,
@@ -72,6 +75,11 @@ class TestParseDate:
         with pytest.raises(ValueError):
             parse_date(bad)
 
+    @pytest.mark.parametrize("text", ["9999-12-31T23:00:00-05:00", "0001-01-01T00:00+05:00"])
+    def test_offset_past_year_range_is_value_error(self, text):
+        with pytest.raises(ValueError, match="outside years 1-9999"):
+            parse_date(text)
+
 
 class TestParseCsv:
     def test_two_points(self):
@@ -97,6 +105,16 @@ class TestParseCsv:
         with pytest.raises(CsvParseError, match="line 3"):
             parse_csv(data, "X", "stock index")
 
+    def test_pre_epoch_date_rejected(self):
+        data = b"1900-01-01,1\n1899-12-31T23:59:59.999999,2\n"
+        with pytest.raises(CsvParseError, match="line 2: .*precedes the 1900-01-01 epoch"):
+            parse_csv(data, "X", "stock index")
+
+    def test_duplicate_day_after_utc_conversion_rejected(self):
+        data = b"2013-04-09T23:00:00,1\n2013-04-10T01:00:00+02:00,2\n"
+        with pytest.raises(CsvParseError, match="line 2: duplicate date 2013-04-09"):
+            parse_csv(data, "X", "stock index")
+
     def test_duplicate_date_rejected(self):
         with pytest.raises(CsvParseError, match="duplicate"):
             parse_csv(b"2013-04-09,1\n2013-04-09,2", "X", "stock index")
@@ -113,9 +131,69 @@ class TestParseCsv:
         s = parse_csv(b"2013-04-10,2\n2013-04-09,1", "X", "stock index")
         assert [p.price for p in s.points] == [1.0, 2.0]
 
+    def test_time_of_day_roundtrip(self):
+        text = "2013-04-09,1.5\n2013-04-10T12:30:00.250000,2\n"
+        assert serialize_csv(parse_csv(text, "X", "stock index")) == text
+
     def test_roundtrip_identity(self):
         text = "2013-04-09,213.72\n2013-11-29,1132.26\n2014-01-05,800.5\n"
         s = parse_csv(text, "BTC", "cryptocurrency")
         assert serialize_csv(s) == text
         s2 = parse_csv(serialize_csv(s), "BTC", "cryptocurrency")
         assert s2.points == s.points
+
+
+class TestColumnarSeries:
+    def test_columns(self):
+        s = parse_csv(b"1900-01-02T00:00:00.5,2\n1900-01-01,1", "X", "stock index")
+        assert s.times.dtype == np.int64 and s.prices.dtype == np.float64
+        assert s.times.tolist() == [0, 86_400_000_000 + 500_000]
+        assert s.prices.tolist() == [1.0, 2.0]
+        assert not s.times.flags.writeable and not s.prices.flags.writeable
+
+    @pytest.mark.parametrize(
+        "times, prices, error",
+        [
+            ([0, 1], [1.0], ValueError),
+            ([0], [1.0], SeriesTooShortError),
+            ([0, 1], [1.0, 0.0], ValueError),
+            ([0, 1], [1.0, float("nan")], ValueError),
+            ([1, 1], [1.0, 2.0], ValueError),
+            ([2, 1], [1.0, 2.0], ValueError),
+        ],
+    )
+    def test_validation(self, times, prices, error):
+        with pytest.raises(error):
+            PriceSeries("X", "stock index", times, prices)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            PriceSeries("X", "bond", [0, 1], [1.0, 2.0])
+
+    @given(
+        st.lists(
+            st.datetimes(min_value=datetime(1900, 1, 1)),
+            min_size=2,
+            max_size=20,
+            unique=True,
+        )
+    )
+    def test_abs_times_match_calendar_conversion(self, stamps):
+        # after 2185 the microsecond count passes 2**53, where a plain
+        # float division would round twice
+        stamps = sorted(t.replace(tzinfo=timezone.utc) for t in stamps)
+        s = PriceSeries("X", "stock index", [epoch_us(t) for t in stamps], [1.0] * len(stamps))
+        assert s.abs_times().tolist() == [to_absolute_time(t) for t in stamps]
+        assert [p.timestamp for p in s.points] == stamps
+
+    def test_window_bounds_are_inclusive(self):
+        s = parse_csv(
+            b"2013-01-01,1\n2013-01-02,2\n2013-01-03,3\n2013-01-04T12:00,4", "X", "stock index"
+        )
+        w = s.window(parse_date("2013-01-02"), parse_date("2013-01-03"))
+        assert w.prices.tolist() == [2.0, 3.0]
+        assert s.window(None, parse_date("2013-01-02")).prices.tolist() == [1.0, 2.0]
+        assert s.window(parse_date("2013-01-03"), None).prices.tolist() == [3.0, 4.0]
+        assert s.window(None, None).prices.tolist() == [1.0, 2.0, 3.0, 4.0]
+        # the 12:00 close lies past an end given as a bare date
+        assert s.window(parse_date("2013-01-03"), parse_date("2013-01-04")) is None
