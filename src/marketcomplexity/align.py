@@ -143,20 +143,15 @@ def nearest_indices(src_times: np.ndarray, dst_times: np.ndarray) -> np.ndarray:
     return np.where(d_left <= d_right, left, right)
 
 
-def nearest_filter(
-    src: SampledSeries, dst: SampledSeries, unique: bool = False
-) -> AlignedPair:
+def nearest_filter(src: SampledSeries, dst: SampledSeries) -> AlignedPair:
     """Pair every source point with the destination point nearest in time.
 
-    Output length equals the source length. Destination points may be
-    selected more than once unless `unique` is set, in which case reuse of
-    a destination point is an error.
+    Output length equals the source length; a destination point may be
+    selected more than once.
     """
     if len(dst) == 0:
         raise AlignmentError("destination series is empty")
     idx = nearest_indices(src.times, dst.times)
-    if unique and len(np.unique(idx)) != len(idx):
-        raise AlignmentError("destination points selected more than once")
     return AlignedPair(
         source_id=src.id,
         dest_id=dst.id,
@@ -171,10 +166,9 @@ def align(
     dst: SampledSeries,
     src_anchors: tuple[float, float],
     dst_anchors: tuple[float, float],
-    unique: bool = False,
 ) -> AlignedPair:
     """Full pipeline: fit the anchor map, rescale, truncate, filter."""
     m = fit_time_map(src_anchors, dst_anchors)
     mapped = map_series(src, m)
     mapped, trimmed_dst = truncate_overlap(mapped, dst)
-    return nearest_filter(mapped, trimmed_dst, unique=unique)
+    return nearest_filter(mapped, trimmed_dst)

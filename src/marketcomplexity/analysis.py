@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from .align import align
 from .errors import DegenerateSeriesError, MarketComplexityError
@@ -81,87 +80,64 @@ def compute_market_metrics(
 
     `windowed` is the series restricted to the analysis window (None when
     the window left too little data); the full history feeds only the
-    full-history roughness column.
+    full-history roughness column. Each group of columns comes from one
+    call: if it raises, every column of the group fails with its reason; a
+    NaN or infinite value fails only its own column.
     """
     from . import encode, entropy, fractal, lzw, returns
     from .bdm import bdm as bdm_fn
 
+    groups = [
+        (("n_points",), lambda: (len(full),)),
+        (("hall_wood_full",), lambda: (fractal.hall_wood(full, hw_L).value,)),
+    ]
+    if windowed is not None:
+        moves = encode.binarize(windowed)
+
+        def moments():
+            st = returns.moments(returns.log_returns(windowed))
+            return st.mean, st.std_dev, st.kurtosis, st.skewness
+
+        def blockent():
+            r = entropy.block_entropy(moves, max_block=max_block)
+            return r.bits, r.normalized
+
+        def bdm_metrics():
+            r = bdm_fn(moves, ctm_table, d=bdm_d, overlap=bdm_overlap)
+            return r.k_estimate, r.normalized, r.deficiency, r.blocks_missing_from_table
+
+        groups += [
+            (("n_window",), lambda: (len(windowed),)),
+            (("mean_log_return", "std_log_return", "kurtosis", "skewness"), moments),
+            (("block_entropy_bits", "block_entropy_normalized"), blockent),
+            (
+                ("compressibility_binary",),
+                lambda: (lzw.compressibility(moves.encode("ascii")),),
+            ),
+            (
+                ("compressibility_real",),
+                lambda: (lzw.compressibility(encode.serialize_prices(windowed)),),
+            ),
+            (("bdm_bits", "bdm_normalized", "bdm_deficiency", "bdm_blocks_missing"), bdm_metrics),
+            (("hall_wood_window",), lambda: (fractal.hall_wood(windowed, hw_L).value,)),
+        ]
+
     m = MarketMetrics(id=full.id, kind=full.kind)
-    m.values["n_points"] = len(full)
-
-    def attempt(name, fn):
+    for columns, fn in groups:
         try:
-            m.values[name] = float(fn())
+            values = fn()
         except Exception as exc:  # noqa: BLE001 - failure isolation by design
-            m.failures[name] = str(exc)
-
-    def hw(series):
-        def run():
-            grid = fractal.to_unit_grid(series)
-            if hw_L == 2:
-                return fractal.hall_wood_dimension(grid).value
-            return fractal.hall_wood_ols(grid, hw_L)
-
-        return run
-
-    attempt("hall_wood_full", hw(full))
-    if windowed is None:
-        for col in METRIC_COLUMNS:
-            if col not in m.values and col not in m.failures:
-                m.failures[col] = "empty window"
-        return _fail_non_finite(m)
-    m.values["n_window"] = len(windowed)
-
-    try:
-        st = returns.moments(returns.log_returns(windowed))
-        m.values["mean_log_return"] = st.mean
-        m.values["std_log_return"] = st.std_dev
-        m.values["kurtosis"] = st.kurtosis
-        m.values["skewness"] = st.skewness
-    except Exception as exc:  # noqa: BLE001
-        for col in ("mean_log_return", "std_log_return", "kurtosis", "skewness"):
-            m.failures[col] = str(exc)
-
-    moves = encode.binarize(windowed)
-
-    def blockent():
-        r = entropy.block_entropy(moves.to_ascii(), max_block=max_block)
-        m.values["block_entropy_bits"] = r.bits
-        return r.normalized
-
-    attempt("block_entropy_normalized", blockent)
-    attempt(
-        "compressibility_binary",
-        lambda: lzw.compressibility(moves.to_ascii().encode("ascii")),
-    )
-    attempt(
-        "compressibility_real",
-        lambda: lzw.compressibility(encode.serialize_prices(windowed)),
-    )
-
-    def bdm_metrics():
-        r = bdm_fn(moves, ctm_table, d=bdm_d, overlap=bdm_overlap)
-        m.values["bdm_bits"] = r.k_estimate
-        m.values["bdm_deficiency"] = r.deficiency
-        m.values["bdm_blocks_missing"] = r.blocks_missing_from_table
-        return r.normalized
-
-    attempt("bdm_normalized", bdm_metrics)
-    attempt("hall_wood_window", hw(windowed))
-    if "block_entropy_normalized" in m.failures:
-        m.failures.setdefault("block_entropy_bits", m.failures["block_entropy_normalized"])
-    if "bdm_normalized" in m.failures:
-        for col in ("bdm_bits", "bdm_deficiency", "bdm_blocks_missing"):
-            m.failures.setdefault(col, m.failures["bdm_normalized"])
-    return _fail_non_finite(m)
-
-
-def _fail_non_finite(m: MarketMetrics) -> MarketMetrics:
-    """Turn every NaN or infinite value into a failure with its reason."""
-    for name, v in list(m.values.items()):
-        if not math.isfinite(v):
-            del m.values[name]
-            m.failures[name] = f"non-finite value {float(v)!r}"
+            m.failures.update(dict.fromkeys(columns, str(exc)))
+            continue
+        for name, v in zip(columns, values):
+            v = float(v)
+            if math.isfinite(v):
+                m.values[name] = v
+            else:
+                m.failures[name] = f"non-finite value {v!r}"
+    for col in METRIC_COLUMNS:
+        if col not in m.values and col not in m.failures:
+            m.failures[col] = "empty window"
     return m
 
 
@@ -208,6 +184,8 @@ def group_markets(
     """Partition markets into k groups by complete-linkage agglomerative
     clustering of z-scored feature vectors. Markets are processed in
     lexicographic id order so the result is input-order independent."""
+    from scipy.cluster.hierarchy import fcluster, linkage
+
     if k < 1:
         raise ValueError("k must be at least 1")
     markets = sorted(report.markets, key=lambda m: m.id)

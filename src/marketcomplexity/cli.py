@@ -82,6 +82,8 @@ class RunConfig:
             raise ConfigError(f"bdm.table file not found: {self.bdm_table}")
         if self.max_block < 1 or self.bdm_d < 1 or self.fractal_L < 2:
             raise ConfigError("invalid analysis parameters")
+        if self.bdm_overlap is not None and not 1 <= self.bdm_overlap <= self.bdm_d:
+            raise ConfigError(f"bdm.overlap must be in 1..{self.bdm_d} (bdm.d)")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -301,8 +303,7 @@ def cmd_returns(args) -> int:
 
 def cmd_entropy(args) -> int:
     s = _read_series(args.file, args.id, args.kind)
-    bits = encode.binarize(s).to_ascii()
-    r = entropy_mod.block_entropy(bits, max_block=args.max_block)
+    r = entropy_mod.block_entropy(encode.binarize(s), max_block=args.max_block)
     print(f"bits={r.bits!r} normalized={r.normalized!r} block_max={r.block_max}")
     return 0
 
@@ -310,7 +311,7 @@ def cmd_entropy(args) -> int:
 def cmd_compress(args) -> int:
     s = _read_series(args.file, args.id, args.kind)
     if args.mode == "binary":
-        data = encode.binarize(s).to_ascii().encode("ascii")
+        data = encode.binarize(s).encode("ascii")
     else:
         data = encode.serialize_prices(s)
     ratio = lzw_mod.compressibility(data)
@@ -321,8 +322,7 @@ def cmd_compress(args) -> int:
 def cmd_bdm(args) -> int:
     s = _read_series(args.file, args.id, args.kind)
     table = CtmTable.load(args.table)
-    bits = encode.binarize(s)
-    r = bdm_fn(bits, table, d=args.d, overlap=args.overlap)
+    r = bdm_fn(encode.binarize(s), table, d=args.d, overlap=args.overlap)
     print(
         f"k_estimate={r.k_estimate!r} normalized={r.normalized!r} "
         f"deficiency={r.deficiency!r} blocks_missing={r.blocks_missing_from_table}"
@@ -332,13 +332,9 @@ def cmd_bdm(args) -> int:
 
 def cmd_fractal(args) -> int:
     s = _read_series(args.file, args.id, args.kind)
-    grid = fractal_mod.to_unit_grid(s)
-    if args.L == 2:
-        est = fractal_mod.hall_wood_dimension(grid)
-        print(f"dimension={est.value!r} raw={est.raw!r}")
-    else:
-        raw = fractal_mod.hall_wood_ols(grid, args.L)
-        print(f"dimension={raw!r} raw={raw!r} L={args.L}")
+    est = fractal_mod.hall_wood(s, args.L)
+    scales = f" L={est.L}" if est.L else ""
+    print(f"dimension={est.value!r} raw={est.raw!r}{scales}")
     return 0
 
 
@@ -456,7 +452,7 @@ def main(argv=None) -> int:
         # reasons; numpy's own warnings about them would only add noise
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except MarketComplexityError as exc:
+    except (MarketComplexityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,10 +41,12 @@ class UnitGridSeries:
 
 @dataclass(frozen=True)
 class DimensionEstimate:
-    """Raw estimator output plus the value clamped to the report range [1, 2)."""
+    """Raw estimator output plus the reported value: clamped to [1, 2) for
+    the two-scale form, equal to `raw` for the OLS form over `L` scales."""
 
     raw: float
     value: float
+    L: int | None = None
 
 
 def to_unit_grid(s: PriceSeries) -> UnitGridSeries:
@@ -103,3 +105,13 @@ def hall_wood_ols(g: UnitGridSeries, L: int) -> float:
     s_bar = s.mean()
     slope = np.sum((s - s_bar) * np.log(areas)) / np.sum((s - s_bar) ** 2)
     return float(2.0 - slope)
+
+
+def hall_wood(s: PriceSeries, L: int = 2) -> DimensionEstimate:
+    """Roughness of a price path over scales 1..L: the clamped two-scale
+    estimator at L = 2, the unclamped OLS form otherwise."""
+    grid = to_unit_grid(s)
+    if L == 2:
+        return hall_wood_dimension(grid)
+    raw = hall_wood_ols(grid, L)
+    return DimensionEstimate(raw=raw, value=raw, L=L)

@@ -8,7 +8,6 @@ so the ratio can exceed 1 on short incompressible inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, log2
 
 from .errors import CodeStreamError
@@ -16,34 +15,7 @@ from .errors import CodeStreamError
 INITIAL_DICT_SIZE = 256
 
 
-@dataclass(frozen=True)
-class LzwCodeStream:
-    codes: tuple[int, ...]
-    initial_dict_size: int = INITIAL_DICT_SIZE
-
-    def __post_init__(self):
-        for i, c in enumerate(self.codes):
-            if c < 0 or c >= self.initial_dict_size + i:
-                raise CodeStreamError(f"code {c} at position {i} cannot exist yet")
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    @property
-    def final_dict_size(self) -> int:
-        # one entry added per emitted code except the final flush
-        return self.initial_dict_size + max(len(self.codes) - 1, 0)
-
-    @property
-    def code_width(self) -> int:
-        return max(ceil(log2(self.final_dict_size)), 1)
-
-    @property
-    def compressed_bits(self) -> int:
-        return len(self.codes) * self.code_width
-
-
-def lzw_compress(data: bytes) -> LzwCodeStream:
+def lzw_compress(data: bytes) -> list[int]:
     """Greedy longest-match LZW over raw bytes."""
     if len(data) == 0:
         raise ValueError("cannot compress empty input")
@@ -63,28 +35,28 @@ def lzw_compress(data: bytes) -> LzwCodeStream:
             next_code += 1
             current = byte
     codes.append(current)
-    return LzwCodeStream(tuple(codes))
+    return codes
 
 
-def lzw_decompress(cs: LzwCodeStream) -> bytes:
+def lzw_decompress(codes: list[int]) -> bytes:
     """Inverse of lzw_compress, including the KwKwK case where a code
-    references the entry being built."""
-    if len(cs.codes) == 0:
+    references the entry being built. Rejects any code that no compressor
+    output could hold at its position."""
+    if len(codes) == 0:
         raise CodeStreamError("empty code stream")
-    base = cs.initial_dict_size
-    entries: list[bytes] = [bytes([i]) for i in range(base)]
-    first = cs.codes[0]
-    if first >= base:
+    entries: list[bytes] = [bytes([i]) for i in range(INITIAL_DICT_SIZE)]
+    first = codes[0]
+    if not 0 <= first < INITIAL_DICT_SIZE:
         raise CodeStreamError(f"impossible first code {first}")
     out = bytearray(entries[first])
     prev = entries[first]
-    for code in cs.codes[1:]:
-        if code < len(entries):
+    for code in codes[1:]:
+        if 0 <= code < len(entries):
             current = entries[code]
         elif code == len(entries):
             current = prev + prev[:1]  # KwKwK
         else:
-            raise CodeStreamError(f"code {code} references a future entry")
+            raise CodeStreamError(f"code {code} cannot exist at its position")
         out += current
         entries.append(prev + current[:1])
         prev = current
@@ -95,5 +67,7 @@ def compressibility(data: bytes) -> float:
     """Compressed bits over original bits; lower means more structure."""
     if len(data) == 0:
         raise ValueError("cannot measure empty input")
-    cs = lzw_compress(data)
-    return cs.compressed_bits / (8 * len(data))
+    n = len(lzw_compress(data))
+    # one dictionary entry is added per code except the final flush
+    width = ceil(log2(INITIAL_DICT_SIZE + n - 1))
+    return n * width / (8 * len(data))

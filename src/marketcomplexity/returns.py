@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import DegenerateSeriesError
 from .ingest import PriceSeries
@@ -94,7 +94,7 @@ def lognormal_reference(
     if not stats.std_dev > 0:
         raise DegenerateSeriesError("zero standard deviation")
     edges = np.asarray(edges, dtype=float)
-    cdf = norm.cdf((edges - stats.mean) / stats.std_dev)
+    cdf = ndtr((edges - stats.mean) / stats.std_dev)
     return n * np.diff(cdf)
 
 

@@ -150,12 +150,6 @@ class TestNearestFilter:
         dst = sampled(np.sort(rng.uniform(0, 100, 11)), rng.uniform(1, 2, 11))
         assert len(nearest_filter(src, dst)) == 37
 
-    def test_unique_flag(self):
-        src = sampled([0, 1], [1, 1])
-        dst = sampled([0.5, 100], [1, 1])
-        with pytest.raises(AlignmentError):
-            nearest_filter(src, dst, unique=True)
-
 
 class TestAlignPipeline:
     def test_time_shifted_copy_recovers_identity(self):

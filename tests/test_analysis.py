@@ -192,6 +192,34 @@ class TestMetricReport:
         assert m.failures["compressibility_real"] == "non-finite value nan"
         assert "bdm_normalized" in m.values
 
+    def test_failure_isolation_per_group_and_per_value(self, table2, monkeypatch):
+        from dataclasses import replace
+
+        from marketcomplexity import bdm, returns
+
+        s = daily_series([1.0 + 0.01 * ((i * 7) % 13) for i in range(60)])
+        moments = returns.moments
+        monkeypatch.setattr(
+            returns, "moments", lambda x: replace(moments(x), kurtosis=float("inf"))
+        )
+        m = compute_market_metrics(s, s, table2)
+        # a non-finite value fails only its own column
+        assert m.failures == {"kurtosis": "non-finite value inf"}
+        assert {"mean_log_return", "std_log_return", "skewness"} <= m.values.keys()
+
+        def broken_bdm(*args, **kwargs):
+            raise ValueError("no table")
+
+        monkeypatch.setattr(bdm, "bdm", broken_bdm)
+        m = compute_market_metrics(s, s, table2)
+        # a raising call fails every column of its group with one reason
+        bdm_columns = ("bdm_bits", "bdm_normalized", "bdm_deficiency", "bdm_blocks_missing")
+        assert m.failures == {
+            "kurtosis": "non-finite value inf",
+            **dict.fromkeys(bdm_columns, "no table"),
+        }
+        assert "block_entropy_bits" in m.values and "hall_wood_window" in m.values
+
     def test_csv_shape(self, table2):
         from marketcomplexity.analysis import METRIC_COLUMNS
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from marketcomplexity.bdm import bdm
-from marketcomplexity.encode import BinaryMovementSeries
+from marketcomplexity.encode import binarize
 from marketcomplexity.errors import SeriesTooShortError
+
+from conftest import daily_series
 
 
 class TestFormula:
@@ -19,8 +21,13 @@ class TestFormula:
         assert r.k_estimate == pytest.approx(table3.k("0000") + table3.k("1111"))
 
     def test_accepts_movement_series(self, table3):
-        b = BinaryMovementSeries("00001111", "X")
-        assert bdm(b, table3).k_estimate == bdm("00001111", table3).k_estimate
+        bits = binarize(daily_series([9, 8, 7, 6, 5, 6, 7, 8, 9]))
+        assert bits == "00001111"
+        assert bdm(bits, table3).k_estimate == bdm("00001111", table3).k_estimate
+
+    def test_rejects_non_binary_text(self, table3):
+        with pytest.raises(ValueError):
+            bdm("01x0", table3, d=4)
 
     def test_overlapping_windows(self, table3):
         # d=4, overlap=1 over "000000": windows are three copies of "0000"

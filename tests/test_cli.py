@@ -1,9 +1,13 @@
 import re
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import marketcomplexity
 from marketcomplexity import __version__
 from marketcomplexity.bdm import CtmTable
 from marketcomplexity.bdm.machines import (
@@ -140,6 +144,43 @@ class TestMeasureCommands:
         fields = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())
         assert float(fields["k_estimate"]) > 0
         assert 0.0 <= float(fields["normalized"]) <= 1.0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["bdm", "--overlap", "9"],
+            ["bdm", "--d", "0"],
+            ["entropy", "--max-block", "0"],
+            ["fractal", "--L", "1"],
+            ["fractal", "--L", "9999"],
+        ],
+    )
+    def test_out_of_range_flag_exit_2(self, tmp_path, capsys, table2, flags):
+        p = write_market(tmp_path, "m.csv", walk_prices(8))
+        argv = [flags[0], str(p)] + flags[1:]
+        if flags[0] == "bdm":
+            table2.save(tmp_path / "ctm.tsv")
+            argv += ["--table", str(tmp_path / "ctm.tsv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestImportCost:
+    def test_cli_import_skips_scipy_stats_and_cluster(self):
+        # `report` needs only scipy.special; the other two cost about a second
+        code = (
+            "import sys, marketcomplexity.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.cluster'))))"
+        )
+        src = Path(marketcomplexity.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCtmGen:
@@ -405,3 +446,29 @@ class TestReportCommand:
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["report", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("overlap", [0, 9])
+    def test_bdm_overlap_out_of_range_exit_2(self, tmp_path, capsys, overlap):
+        a = write_market(tmp_path, "a.csv", walk_prices(18))
+        cfg = write_config(
+            tmp_path,
+            f"market = A, stock index, {a}\n"
+            f"bdm.overlap = {overlap}\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["report", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "bdm.overlap must be in 1..4" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overlap", [1, 4])
+    def test_bdm_overlap_bounds_accepted(self, tmp_path, capsys, overlap):
+        a = write_market(tmp_path, "a.csv", walk_prices(18))
+        cfg = write_config(
+            tmp_path,
+            f"market = A, stock index, {a}\n"
+            f"bdm.overlap = {overlap}\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert f"bdm_overlap={overlap} " in (tmp_path / "out" / "report.txt").read_text()

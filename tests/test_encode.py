@@ -1,25 +1,19 @@
 import numpy as np
-import pytest
 
-from marketcomplexity.encode import BinaryMovementSeries, binarize, serialize_prices
-from marketcomplexity.errors import DegenerateSeriesError
+from marketcomplexity.encode import binarize, serialize_prices
 
 from conftest import daily_series
 
 
 class TestBinarize:
     def test_monotone_rise(self):
-        assert binarize(daily_series([1, 2, 3])).to_ascii() == "11"
+        assert binarize(daily_series([1, 2, 3])) == "11"
 
     def test_monotone_fall(self):
-        assert binarize(daily_series([3, 2, 1])).to_ascii() == "00"
+        assert binarize(daily_series([3, 2, 1])) == "00"
 
     def test_tie_maps_to_zero(self):
-        assert binarize(daily_series([1, 2, 2, 1])).to_ascii() == "100"
-
-    def test_strict_mode_rejects_tie(self):
-        with pytest.raises(DegenerateSeriesError):
-            binarize(daily_series([1, 2, 2, 1]), strict=True)
+        assert binarize(daily_series([1, 2, 2, 1])) == "100"
 
     def test_length_contract(self):
         s = daily_series([1, 2, 1, 2, 1, 2])
@@ -28,8 +22,8 @@ class TestBinarize:
     def test_positive_scaling_invariance(self):
         prices = [1.5, 2.5, 2.0, 3.0, 2.9]
         assert (
-            binarize(daily_series(prices)).to_ascii()
-            == binarize(daily_series([p * 7 for p in prices])).to_ascii()
+            binarize(daily_series(prices))
+            == binarize(daily_series([p * 7 for p in prices]))
         )
 
     def test_matches_pairwise_loop(self):
@@ -37,20 +31,10 @@ class TestBinarize:
         for _ in range(20):
             prices = rng.integers(1, 4, size=50).astype(float)
             expected = "".join("1" if b > a else "0" for a, b in zip(prices, prices[1:]))
-            assert binarize(daily_series(prices)).to_ascii() == expected
+            assert binarize(daily_series(prices)) == expected
 
     def test_alternating(self):
-        assert binarize(daily_series([1, 2, 1, 2, 1])).to_ascii() == "1010"
-
-
-class TestAsciiRoundtrip:
-    def test_roundtrip(self):
-        b = binarize(daily_series([1, 2, 1, 1, 2]))
-        assert BinaryMovementSeries(b.to_ascii(), b.source_id) == b
-
-    def test_invalid_chars(self):
-        with pytest.raises(ValueError):
-            BinaryMovementSeries("01x0", "X")
+        assert binarize(daily_series([1, 2, 1, 2, 1])) == "1010"
 
 
 class TestSerializePrices:

@@ -79,12 +79,6 @@ class TestBlockEntropy:
         with pytest.raises(SeriesTooShortError):
             block_entropy("010", max_block=4)
 
-    def test_disjoint_mode(self):
-        s = "00110011"
-        r = block_entropy(s, max_block=2, overlapping=False)
-        h2 = entropy_oracle(Counter([s[0:2], s[2:4], s[4:6], s[6:8]]).values())
-        assert r.bits == pytest.approx(shannon_entropy(s) + h2, abs=1e-12)
-
     @given(st.text(alphabet="01", min_size=4, max_size=300))
     def test_normalized_in_unit_interval(self, s):
         r = block_entropy(s, max_block=4)

@@ -3,20 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marketcomplexity.errors import CodeStreamError
-from marketcomplexity.lzw import (
-    LzwCodeStream,
-    compressibility,
-    lzw_compress,
-    lzw_decompress,
-)
+from marketcomplexity.lzw import compressibility, lzw_compress, lzw_decompress
 
 
 class TestCompress:
     def test_single_byte(self):
-        assert lzw_compress(b"A").codes == (65,)
+        assert lzw_compress(b"A") == [65]
 
     def test_hand_traced_aaaa(self):
-        assert lzw_compress(b"AAAA").codes == (65, 256, 65)
+        assert lzw_compress(b"AAAA") == [65, 256, 65]
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
@@ -24,31 +19,41 @@ class TestCompress:
 
     def test_deterministic(self):
         data = b"the quick brown fox" * 3
-        assert lzw_compress(data).codes == lzw_compress(data).codes
+        assert lzw_compress(data) == lzw_compress(data)
 
 
 class TestDecompress:
     def test_single_code(self):
-        assert lzw_decompress(LzwCodeStream((65,))) == b"A"
+        assert lzw_decompress([65]) == b"A"
 
     def test_inverse_of_hand_trace(self):
-        assert lzw_decompress(LzwCodeStream((65, 256, 65))) == b"AAAA"
+        assert lzw_decompress([65, 256, 65]) == b"AAAA"
 
     def test_impossible_first_code(self):
         with pytest.raises(CodeStreamError):
-            LzwCodeStream((300,))
+            lzw_decompress([300])
 
     def test_future_code_rejected(self):
         with pytest.raises(CodeStreamError):
-            LzwCodeStream((65, 400))
+            lzw_decompress([65, 400])
+
+    @pytest.mark.parametrize("codes", [[-1], [65, -1]])
+    def test_negative_code_rejected(self, codes):
+        # a negative index would otherwise read the dictionary from the end
+        with pytest.raises(CodeStreamError):
+            lzw_decompress(codes)
+
+    def test_empty_stream_rejected(self):
+        with pytest.raises(CodeStreamError):
+            lzw_decompress([])
 
     def test_kwkwk_case(self):
         # cScSc pattern forces a reference to the entry being defined
         data = b"ABABABA"
-        cs = lzw_compress(data)
-        assert lzw_decompress(cs) == data
+        codes = lzw_compress(data)
+        assert lzw_decompress(codes) == data
         # confirm the stream really exercises the case
-        assert any(c >= 256 for c in cs.codes)
+        assert any(c >= 256 for c in codes)
 
 
 class TestRoundtrip:

@@ -107,6 +107,29 @@ class TestLognormalReference:
         with pytest.raises(DegenerateSeriesError):
             lognormal_reference(ReturnStatistics(0, 0, 3, 0, 10), [0, 1], 10)
 
+    def test_matches_norm_cdf_bit_for_bit(self):
+        # ndtr is what norm.cdf evaluates at loc 0, scale 1; the grid holds
+        # the infinities, both zeros and the +-1/sqrt(2) branch points of
+        # ndtr, with their neighbours
+        from scipy.stats import norm
+
+        r = 1 / math.sqrt(2)
+        special = [-np.inf, np.inf, -0.0, 0.0, 5e-324, -5e-324, 40.0, -40.0]
+        for b in (r, -r):
+            special += [b, np.nextafter(b, 0), np.nextafter(b, 2 * b)]
+        rng = np.random.default_rng(9)
+        grid = np.concatenate(
+            [special, rng.normal(0, 2, 100_000), rng.uniform(-40, 40, 100_000)]
+        )
+        for mean, std in ((0.0, 1.0), (0.0012, 0.017)):
+            st_ = ReturnStatistics(mean, std, 3, 0, 1)
+            # the bin [-inf, x) holds exactly Phi(x)
+            edges = np.ravel(np.column_stack([np.full(len(grid), -np.inf), grid]))
+            out = lognormal_reference(st_, edges, 1)
+            z = (grid - mean) / std
+            assert (out[0::2] == norm.cdf(z)).all()
+            assert (out == np.diff(norm.cdf((edges - mean) / std))).all()
+
 
 class TestHistogram:
     def test_counts_partition_sample(self):
