@@ -41,8 +41,8 @@ class UnitGridSeries:
 
 @dataclass(frozen=True)
 class DimensionEstimate:
-    """Raw estimator output plus the reported value: clamped to [1, 2) for
-    the two-scale form, equal to `raw` for the OLS form over `L` scales."""
+    """Raw estimator output plus the reported value, `raw` clamped to
+    [1, 2). `L` is set only by the OLS form over scales 1..L."""
 
     raw: float
     value: float
@@ -108,10 +108,10 @@ def hall_wood_ols(g: UnitGridSeries, L: int) -> float:
 
 
 def hall_wood(s: PriceSeries, L: int = 2) -> DimensionEstimate:
-    """Roughness of a price path over scales 1..L: the clamped two-scale
-    estimator at L = 2, the unclamped OLS form otherwise."""
+    """Roughness of a price path over scales 1..L: the two-scale estimator
+    at L = 2, the OLS form otherwise; either value is clamped to [1, 2)."""
     grid = to_unit_grid(s)
     if L == 2:
         return hall_wood_dimension(grid)
     raw = hall_wood_ols(grid, L)
-    return DimensionEstimate(raw=raw, value=raw, L=L)
+    return DimensionEstimate(raw=raw, value=_clamp(raw), L=L)

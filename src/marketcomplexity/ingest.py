@@ -23,6 +23,7 @@ _DMY_RE = re.compile(r"^(\d{2})/(\d{2})/(\d{4})$")
 
 _US = timedelta(microseconds=1)
 DAY_US = 86_400_000_000
+_EPOCH_ORDINAL = EPOCH.toordinal()
 
 
 def to_absolute_time(d: datetime | date) -> float:
@@ -178,6 +179,11 @@ def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
 
     A single header line is tolerated. Duplicate calendar days are rejected
     rather than averaged, and so are dates before the 1900 epoch.
+
+    One loop reads the lines. A raw `YYYY-MM-DD,<price>` line with a new
+    day on or after the epoch and a positive finite price is taken by a
+    fixed-width branch; every other line, and every error, goes through
+    the general strip/split/`parse_date` path.
     """
     if isinstance(data, bytes):
         try:
@@ -188,6 +194,18 @@ def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
     prices: list[float] = []
     seen_days: set[int] = set()
     for lineno, raw in enumerate(data.splitlines(), start=1):
+        if raw[10:11] == "," and raw[4:5] == raw[7:8] == "-":
+            try:
+                day = date.fromisoformat(raw[:10]).toordinal() - _EPOCH_ORDINAL
+                price = float(raw[11:])
+            except ValueError:
+                pass
+            else:
+                if day >= 0 and 0 < price < math.inf and day not in seen_days:
+                    seen_days.add(day)
+                    times.append(day * DAY_US)
+                    prices.append(price)
+                    continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -167,20 +167,46 @@ class TestMeasureCommands:
 
 
 class TestImportCost:
-    def test_cli_import_skips_scipy_stats_and_cluster(self):
-        # `report` needs only scipy.special; the other two cost about a second
-        code = (
-            "import sys, marketcomplexity.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.cluster'))))"
-        )
+    SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+    def run_python(self, code):
         src = Path(marketcomplexity.__file__).parents[1]
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, env={"PYTHONPATH": str(src)}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout
+
+    def test_cli_import_skips_scipy_stats_and_cluster(self):
+        # the two cost about a second
+        code = (
+            "import sys, marketcomplexity.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.cluster'))))"
+        )
+        assert self.run_python(code).strip() == "[]"
+
+    def test_cli_import_and_report_load_no_scipy(self, tmp_path):
+        cfg = TestReportCommand().good_config(tmp_path)
+        code = (
+            "import sys; from marketcomplexity.cli import main; "
+            f"print({self.SCIPY}); "
+            f"rc = main(['report', '--config', {str(cfg)!r}]); print(rc, {self.SCIPY})"
+        )
+        assert self.run_python(code).split("\n")[:2] == ["[]", "0 []"]
+        assert (tmp_path / "out" / "ALPHA_hist.csv").exists()
+
+    def test_group_markets_still_clusters(self):
+        # scipy.cluster is imported on the first call, after the CLI
+        code = (
+            "import sys, marketcomplexity.cli; "
+            "from marketcomplexity.analysis import MarketMetrics, MetricReport, group_markets; "
+            "ms = [MarketMetrics(i, 'stock index', {'x': x}) "
+            "for i, x in (('A', 0.0), ('B', 0.1), ('C', 5.0), ('D', 5.2))]; "
+            "print(group_markets(MetricReport(ms), ['x'], 2), 'scipy.cluster' in sys.modules)"
+        )
+        assert self.run_python(code).strip() == "[['A', 'B'], ['C', 'D']] True"
 
 
 class TestCtmGen:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from marketcomplexity.errors import DegenerateSeriesError, SeriesTooShortError
 from marketcomplexity.fractal import (
     UnitGridSeries,
+    hall_wood,
     hall_wood_dimension,
     hall_wood_ols,
     hw_area,
@@ -151,3 +152,27 @@ class TestOls:
         except DegenerateSeriesError:
             return
         assert hall_wood_ols(g, 2) == pytest.approx(two, rel=1e-10)
+
+
+class TestHallWoodClamp:
+    # alternating 10/12 and ending at 11: every estimator overshoots 2
+    PRICES = [10, 12] * 6 + [11]
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+    def test_value_clamped_for_every_L(self, L):
+        est = hall_wood(daily_series(self.PRICES), L)
+        assert est.raw > 2.0
+        assert est.value == np.nextafter(2.0, 1.0)
+
+    def test_cli_prints_clamped_dimension(self, tmp_path, capsys):
+        from marketcomplexity.cli import main
+
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "".join(f"2013-01-{i + 1:02d},{p}\n" for i, p in enumerate(self.PRICES))
+        )
+        assert main(["fractal", str(path), "--L", "3"]) == 0
+        fields = dict(t.split("=", 1) for t in capsys.readouterr().out.split())
+        assert 1.0 <= float(fields["dimension"]) < 2.0
+        assert float(fields["raw"]) > 2.0
+        assert fields["L"] == "3"

@@ -2,7 +2,7 @@ from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from marketcomplexity.errors import CsvParseError, SeriesTooShortError
 from marketcomplexity.ingest import (
@@ -197,3 +197,79 @@ class TestColumnarSeries:
         assert s.window(None, None).prices.tolist() == [1.0, 2.0, 3.0, 4.0]
         # the 12:00 close lies past an end given as a bare date
         assert s.window(parse_date("2013-01-03"), parse_date("2013-01-04")) is None
+
+
+def _outcome(text):
+    try:
+        s = parse_csv(text, "X", "stock index")
+    except (CsvParseError, SeriesTooShortError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return s.times.tolist(), s.prices.tolist()
+
+
+_ISO_DATES = st.one_of(
+    st.dates(min_value=date(1890, 1, 1), max_value=date(2030, 12, 31)).map(date.isoformat),
+    st.sampled_from(["2020-01-01", "2020-01-02", "1900-01-01", "1899-12-31"]),
+)
+_OTHER_DATES = st.one_of(
+    st.builds(
+        "{:04d}-{:02d}-{:02d}".format,
+        st.integers(0, 10000), st.integers(0, 13), st.integers(0, 32),
+    ),
+    st.dates(min_value=date(1890, 1, 1)).map(lambda d: d.strftime("%d/%m/%Y")),
+    st.builds(
+        "{}T{:02d}:{:02d}{}".format,
+        st.dates(min_value=date(1899, 12, 30), max_value=date(2030, 1, 1)),
+        st.integers(0, 23), st.integers(0, 59),
+        st.sampled_from(["", ":00.5", "+05:00", "-11:30", "Z"]),
+    ),
+    st.sampled_from(["date", "Date", "", "2020-W01-1", "20200101", "２０２０-01-01", "2020-1-1"]),
+)
+_PRICES = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e6).map(repr),
+    st.integers(-2, 1000).map(str),
+    st.sampled_from(
+        ["price", "0", "-0.0", "nan", "inf", "-inf", "1e999", "1e-400", " 5", "5 ",
+         "1_0", "1,2", "", "abc", "0x10", "\u00a07"]
+    ),
+)
+_ROWS = st.one_of(
+    # the fixed-width shape, and every other shape the general path reads
+    st.builds(
+        "{},{}{}".format, _ISO_DATES, _PRICES, st.sampled_from(["", "", "", ",", ",2", " "])
+    ),
+    st.builds(
+        "{}{}{}".format,
+        st.one_of(_ISO_DATES, _OTHER_DATES),
+        st.sampled_from([",", ", ", " ,", ",,", ";"]),
+        _PRICES,
+    ),
+    st.sampled_from(["", "# comment", "#2020-01-01,1", "date,price", "  ", "\t"]),
+)
+
+
+class TestParseCsvFastBranch:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_ROWS, max_size=8))
+    def test_agrees_with_general_path(self, rows):
+        # a leading space keeps every line off the fixed-width branch
+        text = "\n".join(rows)
+        general = "\n".join(" " + row for row in rows)
+        assert _outcome(text) == _outcome(general)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2020-02-30,1",
+             "line 2: unrecognized date '2020-02-30' (expected ISO-8601 or DD/MM/YYYY)"),
+            ("1899-12-31,1",
+             "line 2: date 1899-12-31T00:00:00+00:00 precedes the 1900-01-01 epoch"),
+            ("2020-01-01,0", "line 2: price '0' is not positive and finite"),
+            ("2013-01-01,3", "line 2: duplicate date 2013-01-01"),
+        ],
+    )
+    def test_rejected_rows_keep_general_errors(self, row, message):
+        with pytest.raises(CsvParseError) as exc:
+            parse_csv(f"2013-01-01,1\n{row}\n2013-01-03,2\n", "X", "stock index")
+        assert str(exc.value) == message
+        assert exc.value.line == 2

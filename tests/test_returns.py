@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from marketcomplexity.errors import DegenerateSeriesError
 from marketcomplexity.returns import (
     ReturnStatistics,
+    _ndtr,
     build_histogram,
     daily_returns,
     lognormal_reference,
@@ -129,6 +130,33 @@ class TestLognormalReference:
             z = (grid - mean) / std
             assert (out[0::2] == norm.cdf(z)).all()
             assert (out == np.diff(norm.cdf((edges - mean) / std))).all()
+
+
+class TestNdtrPort:
+    def test_matches_scipy_ndtr_bit_for_bit(self):
+        # oracle: the Cephes routine compiled into scipy; the grid holds each
+        # branch point of ndtr/erf/erfc with both neighbours
+        from scipy.special import ndtr
+
+        branch = [1.0, math.sqrt(2), 8 * math.sqrt(2), math.sqrt(2 * 7.09782712893383996843e2)]
+        special = [0.0, 5e-324, math.inf]
+        for b in branch:
+            special += [b, np.nextafter(b, 0), np.nextafter(b, math.inf)]
+        special += [-v for v in special]
+        rng = np.random.default_rng(11)
+        grid = np.concatenate(
+            [
+                special,
+                rng.normal(0, 2, 100_000),
+                rng.uniform(-40, 40, 50_000),
+                rng.uniform(-1.5, 1.5, 50_000),
+            ]
+        )
+        ours = np.array([_ndtr(a) for a in grid.tolist()])
+        ref = ndtr(grid)
+        assert np.array_equal(ours, ref)
+        assert np.array_equal(np.signbit(ours), np.signbit(ref))
+        assert math.isnan(_ndtr(math.nan)) and math.isnan(ndtr(math.nan))
 
 
 class TestHistogram:
