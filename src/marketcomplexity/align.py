@@ -106,32 +106,6 @@ def fit_time_map(
     return LinearTimeMap(slope, intercept)
 
 
-def map_series(s: SampledSeries, m: LinearTimeMap) -> SampledSeries:
-    """Apply a time map to a series' time axis; prices are untouched."""
-    return SampledSeries(s.id, m.apply(s.times), s.prices)
-
-
-def truncate_overlap(
-    src: SampledSeries, dst: SampledSeries
-) -> tuple[SampledSeries, SampledSeries]:
-    """Restrict both series to the intersection of their time spans."""
-    if len(src) == 0 or len(dst) == 0:
-        raise AlignmentError("cannot truncate an empty series")
-    lo = max(src.times[0], dst.times[0])
-    hi = min(src.times[-1], dst.times[-1])
-    if hi < lo:
-        raise AlignmentError("series time spans are disjoint")
-    out = []
-    for s in (src, dst):
-        mask = (s.times >= lo) & (s.times <= hi)
-        if mask.sum() < 2:
-            raise AlignmentError(
-                f"series {s.id!r}: overlap [{lo}, {hi}] holds fewer than 2 points"
-            )
-        out.append(SampledSeries(s.id, s.times[mask], s.prices[mask]))
-    return out[0], out[1]
-
-
 def nearest_indices(src_times: np.ndarray, dst_times: np.ndarray) -> np.ndarray:
     """Index of the dst timestamp nearest each src timestamp; equidistant
     candidates resolve to the earlier dst timestamp."""
@@ -167,8 +141,24 @@ def align(
     src_anchors: tuple[float, float],
     dst_anchors: tuple[float, float],
 ) -> AlignedPair:
-    """Full pipeline: fit the anchor map, rescale, truncate, filter."""
-    m = fit_time_map(src_anchors, dst_anchors)
-    mapped = map_series(src, m)
-    mapped, trimmed_dst = truncate_overlap(mapped, dst)
-    return nearest_filter(mapped, trimmed_dst)
+    """Full pipeline: fit the anchor map, put the source times on the
+    destination clock, keep the span both series cover, and pair every
+    kept source point with the nearest kept destination point."""
+    src_times = fit_time_map(src_anchors, dst_anchors).apply(src.times)
+    if len(src) == 0 or len(dst) == 0:
+        raise AlignmentError("cannot truncate an empty series")
+    lo = max(src_times[0], dst.times[0])
+    hi = min(src_times[-1], dst.times[-1])
+    if hi < lo:
+        raise AlignmentError("series time spans are disjoint")
+    masks = []
+    for id, times in ((src.id, src_times), (dst.id, dst.times)):
+        masks.append((times >= lo) & (times <= hi))
+        if masks[-1].sum() < 2:
+            raise AlignmentError(
+                f"series {id!r}: overlap [{lo}, {hi}] holds fewer than 2 points"
+            )
+    s, d = masks
+    dst_times, dst_prices = dst.times[d], dst.prices[d]
+    idx = nearest_indices(src_times[s], dst_times)
+    return AlignedPair(src.id, dst.id, dst_times[idx], src.prices[s], dst_prices[idx])

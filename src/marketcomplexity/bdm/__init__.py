@@ -9,7 +9,6 @@ from .machines import (
     enumerate_machines,
     enumerate_range,
     machine_count,
-    run_machine,
     sample_machines,
     shard_ranges,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "enumerate_machines",
     "enumerate_range",
     "machine_count",
-    "run_machine",
     "sample_machines",
     "shard_ranges",
     "CtmMeta",

@@ -11,9 +11,10 @@ Every machine runs from a blank (all-zero) tape for at most `step_bound`
 steps; the recorded output of a halting machine is the bit content of the
 tape region its head visited. With step bounds at the known maximal halting
 step counts for each state count, the enumeration is exhaustive: anything
-still running is a certified non-halter. The machines of an index range run
-together, in batches, as numpy arrays; `run_machine` simulates one machine
-and is the reference the batched kernel is tested against.
+still running is a certified non-halter. Exhaustive and sampled runs both
+step their machines together, in batches, as numpy arrays; `run_machine`
+simulates one machine and is the reference the batched kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class OutputDistribution:
 
 def run_machine(index: int, states: int, step_bound: int) -> str | None:
     """Simulate one machine; returns its output string, or None if it does
-    not halt within step_bound steps. Reference implementation, used by the
-    sampled mode and as the oracle for the lockstep kernel."""
+    not halt within step_bound steps. Reference implementation: the oracle
+    the lockstep kernel is tested against."""
     base = 4 * states + 2
     entries = []
     m = index
@@ -91,10 +92,8 @@ def run_machine(index: int, states: int, step_bound: int) -> str | None:
     return None
 
 
-def _run_batch(
-    states: int, step_bound: int, start: int, stop: int
-) -> tuple[Counter, int]:
-    """Lockstep kernel: every machine of [start, stop) steps at once.
+def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[Counter, int]:
+    """Lockstep kernel: the machines with the int64 indices `m` step at once.
 
     Machines without a halting entry are dropped before the first step.
     Each machine has its own row of a flat tape, and positions, visited
@@ -103,8 +102,7 @@ def _run_batch(
     reaches a halting entry.
     """
     base, n_entries, width = 4 * states + 2, 2 * states, 2 * step_bound + 3
-    v = np.empty((stop - start, n_entries), dtype=np.int64)
-    m = np.arange(start, stop, dtype=np.int64)
+    v = np.empty((len(m), n_entries), dtype=np.int64)
     for e in range(n_entries):
         m, v[:, e] = np.divmod(m, base)
     halts = v < 2
@@ -172,10 +170,18 @@ def enumerate_range(
     """Halting-output counts over machine indices [start, stop)."""
     if start < 0 or stop > machine_count(states) or start > stop:
         raise ValueError("invalid machine index range")
+    batches = (
+        np.arange(a, min(a + BATCH, stop), dtype=np.int64) for a in range(start, stop, BATCH)
+    )
+    return _run_batches(states, step_bound, batches)
+
+
+def _run_batches(states: int, step_bound: int, batches) -> tuple[Counter, int]:
+    """Summed `_run_batch` results over an iterable of index arrays."""
     counts: Counter = Counter()
     halting = 0
-    for a in range(start, stop, BATCH):
-        c, h = _run_batch(states, step_bound, a, min(a + BATCH, stop))
+    for m in batches:
+        c, h = _run_batch(states, step_bound, m)
         counts.update(c)
         halting += h
     return counts, halting
@@ -207,7 +213,6 @@ def shard_ranges(states: int, shards: int) -> list[tuple[int, int]]:
 
 def enumerate_machines(
     states: int,
-    step_bound: int | None = None,
     shards: int = 1,
     checkpoint: str | Path | None = None,
     resume: bool = False,
@@ -220,14 +225,7 @@ def enumerate_machines(
     files already there are read instead of enumerated again. The files
     are removed once every shard is merged.
     """
-    if step_bound is None:
-        step_bound = default_step_bound(states)
-    if step_bound < default_step_bound(states):
-        raise ValueError(
-            f"step_bound {step_bound} below the known halting bound "
-            f"{default_step_bound(states)} for {states} states; "
-            "the enumeration would not be exhaustive"
-        )
+    step_bound = default_step_bound(states)
     counts: Counter = Counter()
     halting = 0
     paths = []
@@ -291,24 +289,23 @@ def _read_shard(path: Path) -> tuple[dict[str, str], dict[str, int], int]:
         raise ConfigError(f"unreadable shard checkpoint {path}") from None
 
 
-def sample_machines(
-    states: int, budget: int, step_bound: int | None = None, seed: int = 0
-) -> OutputDistribution:
+def sample_machines(states: int, budget: int, seed: int = 0) -> OutputDistribution:
     """Uniform random sample of the ensemble, for state counts where the
-    exhaustive run is out of reach (4 states is ~11e9 machines)."""
-    if step_bound is None:
-        step_bound = default_step_bound(states)
+    exhaustive run is out of reach (4 states is ~11e9 machines).
+
+    Indices are drawn with `random.Random(seed).randrange`, at most `BATCH`
+    at a time, and each draw runs through the lockstep kernel.
+    """
+    total = machine_count(states)
+    step_bound = default_step_bound(states)
     if budget < 1:
         raise ValueError("budget must be positive")
     rng = random.Random(seed)
-    total = machine_count(states)
-    counts: Counter = Counter()
-    halting = 0
-    for _ in range(budget):
-        out = run_machine(rng.randrange(total), states, step_bound)
-        if out is not None:
-            counts[out] += 1
-            halting += 1
+    draws = (
+        np.array([rng.randrange(total) for _ in range(min(BATCH, budget - a))], dtype=np.int64)
+        for a in range(0, budget, BATCH)
+    )
+    counts, halting = _run_batches(states, step_bound, draws)
     return OutputDistribution(
         counts=dict(symmetrize_counts(counts)),
         halting=2 * halting,

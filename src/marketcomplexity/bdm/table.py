@@ -15,6 +15,10 @@ from pathlib import Path
 from ..errors import TableFormatError
 from .machines import OutputDistribution
 
+# longest tabulated string; 16 gives 2**17 - 2 entries, and each further
+# bit doubles the table and its build time
+D_MAX_LIMIT = 16
+
 
 @dataclass(frozen=True)
 class CtmMeta:
@@ -101,6 +105,11 @@ class CtmTable:
                 fallback.add(s)
         if not values:
             raise TableFormatError(f"{path}: table has no entries")
+        # lookups need every string up to the longest one
+        d_max = max(map(len, values))
+        missing = 2 ** (d_max + 1) - 2 - len(values)
+        if missing:
+            raise TableFormatError(f"{path}: {missing} strings of length 1..{d_max} missing")
         return cls(values=values, fallback=frozenset(fallback), meta=meta)
 
 
@@ -131,6 +140,8 @@ def _parse_header(line: str, path) -> CtmMeta:
 def ctm_from_frequency(dist: OutputDistribution, d_max: int | None = None) -> CtmTable:
     """Tabulate K(x) = -log2 m(x) for every binary string of length
     1..d_max, with fallback values for strings never produced."""
+    if d_max is not None and not 1 <= d_max <= D_MAX_LIMIT:
+        raise ValueError(f"d_max must be in 1..{D_MAX_LIMIT}, got {d_max}")
     if not dist.counts:
         raise ValueError("distribution is empty")
     max_produced = max(len(s) for s in dist.counts)

@@ -2,7 +2,8 @@
 report runner and the complexity-table generator.
 
 Exit codes: 0 full success, 1 partial per-metric failures (report), 2
-configuration or validation error.
+configuration, validation or file-system error (such as an unwritable
+output path).
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ import numpy as np
 
 from . import __version__, align as align_mod, encode, entropy as entropy_mod
 from . import fractal as fractal_mod, lzw as lzw_mod, returns as returns_mod
-from .analysis import (
-    MetricReport,
-    compute_market_metrics,
-    correlate_markets,
-    pearson_correlation,
-)
+from .analysis import MetricReport, compute_market_metrics, correlate_markets
 from .bdm import CtmTable, bdm as bdm_fn, ctm_from_frequency, sample_machines
 from .errors import ConfigError, MarketComplexityError
 from .ingest import KINDS, PriceSeries, parse_csv, parse_date, serialize_csv
@@ -156,24 +152,16 @@ def _default_table() -> CtmTable:
 
 
 def cmd_report(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-        if args.output_dir:
-            cfg.output_dir = args.output_dir
-        cfg.validate()
-        table = CtmTable.load(cfg.bdm_table) if cfg.bdm_table else _default_table()
-        if cfg.bdm_d > table.d_max:
-            raise ConfigError(
-                f"bdm.d={cfg.bdm_d} exceeds table coverage d_max={table.d_max}"
-            )
-        series = {
-            id: _read_series(path, id, kind) for id, kind, path in cfg.markets
-        }
-        outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-    except (MarketComplexityError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_config(args.config)
+    if args.output_dir:
+        cfg.output_dir = args.output_dir
+    cfg.validate()
+    table = CtmTable.load(cfg.bdm_table) if cfg.bdm_table else _default_table()
+    if cfg.bdm_d > table.d_max:
+        raise ConfigError(f"bdm.d={cfg.bdm_d} exceeds table coverage d_max={table.d_max}")
+    series = {id: _read_series(path, id, kind) for id, kind, path in cfg.markets}
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     header = _file_header(cfg.config_hash)
 
@@ -240,26 +228,22 @@ def cmd_report(args) -> int:
 
 def cmd_ctm_gen(args) -> int:
     states = args.states
-    try:
-        if states == 4 or args.budget:
-            if not args.budget:
-                raise ConfigError("states=4 requires --budget (sampled mode)")
-            dist = sample_machines(states, args.budget, seed=args.seed)
-        elif states not in (1, 2, 3):
-            raise ConfigError("exhaustive mode supports states 1..3")
-        elif args.shards < 1:
-            raise ConfigError("--shards must be at least 1")
-        else:
-            from .bdm import enumerate_machines
+    if states == 4 or args.budget:
+        if not args.budget:
+            raise ConfigError("states=4 requires --budget (sampled mode)")
+        dist = sample_machines(states, args.budget, seed=args.seed)
+    elif states not in (1, 2, 3):
+        raise ConfigError("exhaustive mode supports states 1..3")
+    elif args.shards < 1:
+        raise ConfigError("--shards must be at least 1")
+    else:
+        from .bdm import enumerate_machines
 
-            dist = enumerate_machines(
-                states, shards=args.shards, checkpoint=args.out, resume=args.resume
-            )
-        table = ctm_from_frequency(dist, d_max=args.d_max)
-        table.save(args.out)
-    except MarketComplexityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        dist = enumerate_machines(
+            states, shards=args.shards, checkpoint=args.out, resume=args.resume
+        )
+    table = ctm_from_frequency(dist, d_max=args.d_max)
+    table.save(args.out)
     how = f"{dist.halting // 2} halting machines" if dist.exhaustive else "sampled"
     print(f"wrote {Path(args.out)} ({len(table.values)} entries, {how})")
     return 0
@@ -452,7 +436,7 @@ def main(argv=None) -> int:
         # reasons; numpy's own warnings about them would only add noise
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (MarketComplexityError, ValueError) as exc:
+    except (MarketComplexityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -160,8 +160,10 @@ class SampledSeries:
     def __post_init__(self):
         if len(self.times) != len(self.prices):
             raise ValueError("times and prices length mismatch")
-        if len(self.times) >= 2 and not np.all(np.diff(self.times) > 0):
-            raise ValueError(f"series {self.id!r}: times not strictly increasing")
+        # order is what nearest-time matching needs; equal neighbours are
+        # allowed, since distinct microsecond times can share a float second
+        if len(self.times) >= 2 and not np.all(np.diff(self.times) >= 0):
+            raise ValueError(f"series {self.id!r}: times not in increasing order")
 
     def __len__(self) -> int:
         return len(self.times)

@@ -8,9 +8,7 @@ from marketcomplexity.align import (
     align,
     detect_peaks,
     fit_time_map,
-    map_series,
     nearest_filter,
-    truncate_overlap,
 )
 from marketcomplexity.errors import AlignmentError
 from marketcomplexity.ingest import SampledSeries, to_absolute_time
@@ -100,28 +98,46 @@ class TestFitTimeMap:
             LinearTimeMap(-1.0, 0.0)
 
 
+IDENTITY = (0.0, 1.0), (0.0, 1.0)
+
+
 class TestTruncateOverlap:
+    """`align` keeps only the span both series cover; identity anchors
+    leave the source clock as it is."""
+
     def test_interval_intersection(self):
         src = sampled([10, 16, 20], [1, 1, 1])
         dst = sampled([15, 18, 30], [2, 2, 2])
-        ts, td = truncate_overlap(src, dst)
-        assert ts.times.min() >= 15 and ts.times.max() <= 20
-        assert td.times.min() >= 15 and td.times.max() <= 20
+        pair = align(src, dst, *IDENTITY)
+        # source 10 and destination 30 lie outside [15, 20]
+        assert len(pair) == 2
+        assert list(pair.times) == [15, 18]
 
     def test_nested_src_unchanged(self):
-        src = sampled([5, 6, 7], [1, 1, 1])
+        src = sampled([5, 6, 7], [1, 2, 3])
         dst = sampled([0, 5.5, 6.5, 10], [2, 2, 2, 2])
-        ts, td = truncate_overlap(src, dst)
-        assert list(ts.times) == [5, 6, 7]
-        assert list(td.times) == [5.5, 6.5]
+        pair = align(src, dst, *IDENTITY)
+        assert list(pair.source_prices) == [1, 2, 3]
+        # 6 is equidistant from 5.5 and 6.5; 0 and 10 are never matched
+        assert list(pair.times) == [5.5, 5.5, 6.5]
+
+    def test_destination_outside_overlap_never_matched(self):
+        # 4.9 and 7.1 are nearer to source 5 and 7, but lie outside [5, 7]
+        src = sampled([5, 6, 7], [1, 2, 3])
+        dst = sampled([4.9, 5.5, 6.5, 7.1], [2, 2, 2, 2])
+        assert list(align(src, dst, *IDENTITY).times) == [5.5, 5.5, 6.5]
 
     def test_disjoint_error(self):
-        with pytest.raises(AlignmentError):
-            truncate_overlap(sampled([0, 1], [1, 1]), sampled([5, 6], [1, 1]))
+        with pytest.raises(AlignmentError, match="disjoint"):
+            align(sampled([0, 1], [1, 1]), sampled([5, 6], [1, 1]), *IDENTITY)
 
     def test_single_point_overlap_error(self):
-        with pytest.raises(AlignmentError):
-            truncate_overlap(sampled([0, 5], [1, 1]), sampled([5, 9], [1, 1]))
+        with pytest.raises(AlignmentError, match="fewer than 2 points"):
+            align(sampled([0, 5], [1, 1]), sampled([5, 9], [1, 1]), *IDENTITY)
+
+    def test_empty_series_error(self):
+        with pytest.raises(AlignmentError, match="empty"):
+            align(sampled([], []), sampled([5, 9], [1, 1]), *IDENTITY)
 
 
 class TestNearestFilter:
@@ -164,8 +180,23 @@ class TestAlignPipeline:
         pair = align(src, dst, anchors_src, anchors_dst)
         assert np.allclose(pair.source_prices, pair.dest_prices)
 
-    def test_map_series_only_touches_times(self):
-        s = sampled([1, 2, 3], [4, 5, 6])
-        mapped = map_series(s, LinearTimeMap(2.0, 10.0))
-        assert list(mapped.times) == [12, 14, 16]
-        assert list(mapped.prices) == [4, 5, 6]
+    def test_mapped_times_may_coincide(self):
+        # 1 us apart at 2020 magnitudes; a slope of 0.02 maps both onto one
+        # float second, and each source point is still paired
+        t = 3_786_825_599.999999
+        src = sampled([t - 86400, t, t + 1e-6, t + 86400], [1, 2, 3, 4], "SRC")
+        m = fit_time_map((t - 86400, t + 86400), (t, t + 3456))
+        assert m.apply(t) == m.apply(t + 1e-6)
+        dst = sampled([t, t + 1728, t + 3456], [5, 6, 7], "DST")
+        pair = align(src, dst, (t - 86400, t + 86400), (t, t + 3456))
+        assert list(pair.source_prices) == [1, 2, 3, 4]
+        assert list(pair.dest_prices) == [5, 6, 6, 7]
+
+
+class TestSampledSeries:
+    def test_equal_neighbours_accepted(self):
+        assert len(sampled([1, 2, 2, 3], [1, 1, 1, 1])) == 4
+
+    def test_out_of_order_rejected(self):
+        with pytest.raises(ValueError, match="order"):
+            sampled([1, 3, 2], [1, 1, 1])

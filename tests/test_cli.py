@@ -1,3 +1,4 @@
+import hashlib
 import re
 import subprocess
 import sys
@@ -318,6 +319,15 @@ class TestCtmGen:
         )
         assert rc == 0
         assert "mode=sampled" in out.read_text().splitlines()[0]
+
+    def test_sampled_four_state_table_bytes(self, tmp_path, capsys):
+        # recorded when sampling still ran one run_machine call per draw
+        out = tmp_path / "ctm4.tsv"
+        argv = ["ctm-gen", "--states", "4", "--budget", "100000", "--seed", "9"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d87c716713887d5f783ee63d3e0833dcbdc54da64c8c1bb1bee9c2d30e27df19"
+        )
 
 
 def write_config(tmp_path, body):

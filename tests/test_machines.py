@@ -1,11 +1,14 @@
 from collections import Counter
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from marketcomplexity.bdm import machines
 from marketcomplexity.bdm.machines import (
+    BATCH,
     KNOWN_STEP_BOUNDS,
     _region_counts,
     enumerate_machines,
@@ -133,10 +136,6 @@ class TestEnumerate:
             assert dist3.counts[comp] == c
             assert dist3.counts[s[::-1]] == c
 
-    def test_step_bound_below_known_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_machines(2, step_bound=3)
-
     def test_shard_ranges_partition(self):
         ranges = shard_ranges(2, 8)
         assert ranges[0][0] == 0
@@ -146,6 +145,24 @@ class TestEnumerate:
 
 
 class TestSampled:
+    @pytest.mark.parametrize(
+        "states, budget, seed", [(2, 2 * BATCH + 5, 0), (4, 3000, 0), (4, 3000, 9)]
+    )
+    def test_matches_reference_loop(self, states, budget, seed):
+        # the kernel path sees the same random.Random(seed) draws, in the
+        # same order, as one run_machine call per draw
+        rng = random.Random(seed)
+        total = machine_count(states)
+        counts = Counter()
+        for _ in range(budget):
+            out = run_machine(rng.randrange(total), states, KNOWN_STEP_BOUNDS[states])
+            if out is not None:
+                counts[out] += 1
+        got = sample_machines(states, budget, seed=seed)
+        assert got.counts == symmetrize_counts(counts)
+        assert got.halting == 2 * sum(counts.values())
+        assert got.machines == budget and got.step_bound == KNOWN_STEP_BOUNDS[states]
+
     def test_reproducible(self):
         a = sample_machines(4, budget=2000, seed=9)
         b = sample_machines(4, budget=2000, seed=9)

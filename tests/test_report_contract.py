@@ -1,6 +1,7 @@
 """The `report` contract: exact output bytes on the input paths the benchmark
-does not run, exit codes 0/1/2 with no traceback on any input, and a stderr
-that carries only the report's own lines."""
+does not run, exit codes 0/1/2 with no traceback on any input (to `report`
+and to every other subcommand), and a stderr that carries only the report's
+own lines."""
 
 import hashlib
 import subprocess
@@ -263,4 +264,189 @@ def test_report_exit_code_is_total(markets, extra, pair, monkeypatch, capsys):
             lines.append(f"pair = M0, M{len(markets) - 1}")
         Path("run.cfg").write_text("\n".join(lines + extra) + "\n", encoding="utf-8")
         assert main(["report", "--config", "run.cfg", "--output-dir", "out"]) in (0, 1, 2)
+    capsys.readouterr()
+
+
+def _write_microsecond_market(path: Path, year: int, n: int, peaks: dict[int, float]) -> Path:
+    """Daily closes with two rows 1 us apart (days 3 and 4) and the given
+    peak prices; every other close lies between 5 and 6."""
+    start = date(year, 1, 1)
+    rows = []
+    for i in range(n):
+        stamp = (start + timedelta(days=i)).isoformat()
+        price = peaks.get(i, 5 + i * 7 % 11 / 10)
+        if i == 3:
+            stamp, price = f"{stamp}T23:59:59.999999", 2
+        elif i == 4:
+            stamp, price = f"{stamp}T00:00:00", 3
+        rows.append(f"{stamp},{price}")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "year, src_peaks, dst_n, dst_peaks",
+    [
+        # peaks 100 days apart onto 2 days: slope 0.02 maps the two source
+        # rows onto one float second
+        (2020, {10: 100, 110: 90}, 40, {10: 100, 12: 90}),
+        # identical markets in year 9000, where a float second is ~3e-5 s
+        # wide and the two rows already share one in `sampled()`
+        (9000, {10: 100, 110: 90}, 130, {10: 100, 110: 90}),
+    ],
+)
+def test_microsecond_rows_align(tmp_path, capsys, year, src_peaks, dst_n, dst_peaks):
+    """Valid rows 1 us apart can share a float second on the aligned clock;
+    alignment pairs them and every output is written."""
+    src = _write_microsecond_market(tmp_path / "src.csv", year, 130, src_peaks)
+    dst = _write_microsecond_market(tmp_path / "dst.csv", year, dst_n, dst_peaks)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"market = SRC, stock index, {src}\nmarket = DST, stock index, {dst}\n"
+        "pair = SRC, DST\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--output-dir", str(out)]) in (0, 1)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "DST_hist.csv", "SRC__DST_aligned.csv", "SRC_hist.csv", "report.csv", "report.txt",
+    ]
+    assert main(["align", str(src), str(dst), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["correlate", str(src), str(dst)]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "m.csv", "--out", "missing/x.csv"],
+        ["returns", "m.csv", "--hist-out", "missing/h.csv"],
+        ["align", "m.csv", "m.csv", "--out", "missing/a.csv"],
+        ["ctm-gen", "--states", "1", "--out", "missing/t.tsv"],
+        ["ctm-gen", "--states", "1", "--budget", "50", "--out", "missing/t.tsv"],
+    ],
+)
+def test_unwritable_output_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    _write_iso_market(tmp_path / "m.csv", 45)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("states", ["-1", "0", "5"])
+def test_ctm_gen_sampled_states_out_of_range_exit_2(tmp_path, capsys, states):
+    argv = ["ctm-gen", "--states", states, "--budget", "10", "--out", str(tmp_path / "t.tsv")]
+    assert main(argv) == 2
+    assert "states must be in 1..4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d_max", ["0", "-1", "17", "99", str(2**70)])
+def test_ctm_gen_d_max_out_of_range_exit_2(tmp_path, capsys, d_max):
+    out = tmp_path / "t.tsv"
+    argv = ["ctm-gen", "--states", "2", "--d-max", d_max, "--out", str(out)]
+    assert main(argv) == 2
+    assert "d_max must be in 1..16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _main_exit_code(argv: list[str]) -> int:
+    """`main`'s return value, or the status of argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# in range for most flags a third of the time
+_flag_int = st.one_of(
+    st.integers(1, 8).map(str),
+    st.integers(-3, 70).map(str),
+    st.sampled_from([str(10**9), str(2**70), "x", ""]),
+)
+_out_path = st.sampled_from(["o.csv", "missing/o.csv", ".", "m0.csv"])
+
+
+def _opt(flag: str, values) -> st.SearchStrategy:
+    """`[flag, value]` or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _argv(command: str, *parts) -> st.SearchStrategy:
+    return st.tuples(*parts).map(lambda ps: [command] + [a for p in ps for a in p])
+
+
+_one = st.just(["m0.csv"])
+_two = st.sampled_from([["m0.csv", "m1.csv"], ["m1.csv", "m0.csv"], ["m0.csv", "m0.csv"]])
+_kinds = st.sampled_from(["stock index", "precious metal", "crypto"])
+_ARGVS = st.one_of(
+    _argv("ingest", _one, _opt("--out", _out_path), _opt("--kind", _kinds)),
+    _argv("align", _two, _opt("--out", _out_path)),
+    _argv("returns", _one, _opt("--hist-out", _out_path)),
+    _argv("entropy", _one, _opt("--max-block", _flag_int)),
+    _argv("compress", _one, _opt("--mode", st.sampled_from(["binary", "real", "x"]))),
+    _argv(
+        "bdm", _one, st.just(["--table", "t.tsv"]),
+        _opt("--d", _flag_int), _opt("--overlap", _flag_int),
+    ),
+    _argv("fractal", _one, _opt("--L", _flag_int)),
+    _argv("correlate", _two, st.sampled_from([[], ["--movements"]])),
+    # ctm-gen stays at 1-2 states, small budgets and table lengths, or at
+    # values its validation rejects before any run
+    _argv(
+        "ctm-gen",
+        (st.integers(1, 2) | st.sampled_from([-1, 0, 5])).map(lambda n: ["--states", str(n)]),
+        _out_path.map(lambda p: ["--out", p.replace(".csv", ".tsv")]),
+        _opt("--shards", st.integers(-1, 4).map(str)),
+        _opt("--budget", st.integers(-5, 2000).map(str)),
+        _opt("--d-max", (st.integers(1, 8) | st.sampled_from([-1, 0, 17, 99, 2**70])).map(str)),
+        st.sampled_from([[], ["--resume"]]),
+    ),
+    _argv(
+        "report",
+        st.just(["--config", "run.cfg"]),
+        st.sampled_from([["--output-dir", "out"], ["--output-dir", "m0.csv"]]),
+    ),
+)
+# the first k lines of a valid 2-state table (all 255 at 300), then one
+# arbitrary or empty line
+_tables = st.tuples(st.just(300) | st.integers(2, 40), st.just("") | st.just("") | _cell)
+# random-walk closes on consecutive ISO days, which parse
+_valid_markets = st.builds(
+    lambda seed, n: [
+        f"{date(2013, 1, 1) + timedelta(days=i)},{p}" for i, p in enumerate(_closes(seed, n))
+    ],
+    st.integers(0, 99),
+    st.integers(2, 80),
+)
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    argv=_ARGVS,
+    markets=st.lists(_valid_markets | _valid_markets | _markets, min_size=2, max_size=2),
+    extra=_config_lines,
+    table=_tables,
+)
+def test_every_subcommand_exit_code_is_total(
+    argv, markets, extra, table, table2, monkeypatch, capsys
+):
+    """Arbitrary flags, CSV rows, table files and output paths: every
+    subcommand returns 0, 1 or 2 and never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        monkeypatch.chdir(tmp)
+        for i, rows in enumerate(markets):
+            Path(f"m{i}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        table2.save("t.tsv")
+        keep, junk = table
+        lines = Path("t.tsv").read_text(encoding="utf-8").splitlines()[:keep] + [junk]
+        Path("t.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = ["market = M0, stock index, m0.csv", "market = M1, cryptocurrency, m1.csv"]
+        config += ["pair = M0, M1", "bdm.table = t.tsv", *extra]
+        Path("run.cfg").write_text("\n".join(config) + "\n", encoding="utf-8")
+        assert _main_exit_code(argv) in (0, 1, 2)
     capsys.readouterr()

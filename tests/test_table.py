@@ -137,3 +137,19 @@ class TestPersistence:
 def test_all_k_positive(table3):
     assert all(v > 0 for v in table3.values.values())
     assert math.isfinite(max(table3.values.values()))
+
+
+def test_incomplete_table_rejected(table2, tmp_path):
+    # 19 of the 30 strings of length 1..4: a lookup of the other eleven
+    # would fail in the middle of a decomposition
+    path = tmp_path / "cut.tsv"
+    table2.save(path)
+    lines = path.read_text().splitlines()[:20]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TableFormatError, match="11 strings of length 1..4 missing"):
+        CtmTable.load(path)
+
+
+def test_d_max_limit_accepted(dist2):
+    table = ctm_from_frequency(dist2, d_max=16)
+    assert table.d_max == 16 and len(table.values) == 2**17 - 2
