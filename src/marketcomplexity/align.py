@@ -8,7 +8,6 @@ the nearest destination point in time.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +48,11 @@ class AlignedPair:
         return len(self.times)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("dest_time,source_price,dest_price\n")
-        for t, sp, dp in zip(self.times, self.source_prices, self.dest_prices):
-            buf.write(f"{float(t)!r},{float(sp)!r},{float(dp)!r}\n")
-        return buf.getvalue()
+        columns = (self.times, self.source_prices, self.dest_prices)
+        rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+        return "dest_time,source_price,dest_price\n" + "".join(
+            [f"{t!r},{sp!r},{dp!r}\n" for t, sp, dp in rows]
+        )
 
 
 def detect_peaks(s: PriceSeries, k: int) -> list[tuple[float, float]]:

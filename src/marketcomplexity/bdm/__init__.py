@@ -12,7 +12,7 @@ from .machines import (
     sample_machines,
     shard_ranges,
 )
-from .table import CtmMeta, CtmTable, ctm_from_frequency
+from .table import CtmMeta, CtmTable, check_d_max, ctm_from_frequency
 
 __all__ = [
     "BdmResult",
@@ -27,5 +27,6 @@ __all__ = [
     "shard_ranges",
     "CtmMeta",
     "CtmTable",
+    "check_d_max",
     "ctm_from_frequency",
 ]

@@ -137,11 +137,17 @@ def _parse_header(line: str, path) -> CtmMeta:
     return meta
 
 
+def check_d_max(d_max: int | None) -> None:
+    """Reject a longest table string outside 1..D_MAX_LIMIT; None lets
+    `ctm_from_frequency` choose one."""
+    if d_max is not None and not 1 <= d_max <= D_MAX_LIMIT:
+        raise ValueError(f"d_max must be in 1..{D_MAX_LIMIT}, got {d_max}")
+
+
 def ctm_from_frequency(dist: OutputDistribution, d_max: int | None = None) -> CtmTable:
     """Tabulate K(x) = -log2 m(x) for every binary string of length
     1..d_max, with fallback values for strings never produced."""
-    if d_max is not None and not 1 <= d_max <= D_MAX_LIMIT:
-        raise ValueError(f"d_max must be in 1..{D_MAX_LIMIT}, got {d_max}")
+    check_d_max(d_max)
     if not dist.counts:
         raise ValueError("distribution is empty")
     max_produced = max(len(s) for s in dist.counts)

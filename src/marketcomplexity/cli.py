@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, align as align_mod, encode, entropy as entropy_mod
 from . import fractal as fractal_mod, lzw as lzw_mod, returns as returns_mod
 from .analysis import MetricReport, compute_market_metrics, correlate_markets
-from .bdm import CtmTable, bdm as bdm_fn, ctm_from_frequency, sample_machines
+from .bdm import CtmTable, bdm as bdm_fn, check_d_max, ctm_from_frequency, sample_machines
 from .errors import ConfigError, MarketComplexityError
 from .ingest import KINDS, PriceSeries, parse_csv, parse_date, serialize_csv
 
@@ -227,6 +227,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_ctm_gen(args) -> int:
+    check_d_max(args.d_max)  # before a run that can take minutes
     states = args.states
     if states == 4 or args.budget:
         if not args.budget:

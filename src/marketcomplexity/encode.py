@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ingest import PriceSeries, format_price
+from .ingest import PriceSeries, format_prices
 
 
 def binarize(s: PriceSeries) -> str:
@@ -21,4 +21,4 @@ def binarize(s: PriceSeries) -> str:
 def serialize_prices(s: PriceSeries) -> bytes:
     """Canonical comma-joined decimal text of the prices, for feeding the
     real-value path of a generic lossless compressor."""
-    return ",".join(map(format_price, s.prices.tolist())).encode("ascii")
+    return ",".join(format_prices(s.prices)).encode("ascii")

@@ -25,6 +25,13 @@ _US = timedelta(microseconds=1)
 DAY_US = 86_400_000_000
 _EPOCH_ORDINAL = EPOCH.toordinal()
 
+# the bulk pass: where a raw `YYYY-MM-DD,` head has its separators and its
+# digits, and the length of month m of a common year and the days before it
+_SEPARATORS = np.frombuffer(b"--,", dtype=np.uint8)
+_DIGIT_COLUMNS = [0, 1, 2, 3, 5, 6, 8, 9]
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_MONTH_START = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+
 
 def to_absolute_time(d: datetime | date) -> float:
     """Seconds since the 1900-01-01 UTC epoch for a calendar date-time."""
@@ -169,11 +176,13 @@ class SampledSeries:
         return len(self.times)
 
 
-def format_price(value: float) -> str:
-    """Shortest decimal that round-trips; integral values drop the fraction."""
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(float(value))
+def format_prices(prices: np.ndarray) -> list[str]:
+    """Each price as the shortest decimal that round-trips; integral values
+    below 1e16 drop the fraction."""
+    integral = (np.trunc(prices) == prices) & (np.abs(prices) < 1e16)
+    cells = prices.astype(object)
+    cells[integral] = prices[integral].astype(np.int64)
+    return list(map(str, cells.tolist()))  # str of a float is its repr
 
 
 def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
@@ -182,32 +191,24 @@ def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
     A single header line is tolerated. Duplicate calendar days are rejected
     rather than averaged, and so are dates before the 1900 epoch.
 
-    One loop reads the lines. A raw `YYYY-MM-DD,<price>` line with a new
-    day on or after the epoch and a positive finite price is taken by a
-    fixed-width branch; every other line, and every error, goes through
-    the general strip/split/`parse_date` path.
+    A file made only of raw `YYYY-MM-DD,<price>` lines, with strictly
+    increasing days on or after the epoch and positive finite prices, is
+    read in one bulk pass over its columns. Any other file, and every
+    error, goes through one strip/split/`parse_date` loop over the lines.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CsvParseError(f"input is not UTF-8: {exc}")
+    lines = data.splitlines()
+    columns = _parse_iso_rows(lines)
+    if columns is not None:
+        return PriceSeries(id, kind, *columns)
     times: list[int] = []
     prices: list[float] = []
     seen_days: set[int] = set()
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        if raw[10:11] == "," and raw[4:5] == raw[7:8] == "-":
-            try:
-                day = date.fromisoformat(raw[:10]).toordinal() - _EPOCH_ORDINAL
-                price = float(raw[11:])
-            except ValueError:
-                pass
-            else:
-                if day >= 0 and 0 < price < math.inf and day not in seen_days:
-                    seen_days.add(day)
-                    times.append(day * DAY_US)
-                    prices.append(price)
-                    continue
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -245,6 +246,46 @@ def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
     return PriceSeries(id, kind, np.array(times)[order], np.array(prices)[order])
 
 
+def _parse_iso_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The times and prices of at least 2 raw `YYYY-MM-DD,<price>` lines
+    with strictly increasing days on or after the epoch and prices in
+    (0, inf), or None when the lines are anything else. Prices come from
+    the same `float` as in the per-line loop."""
+    if len(lines) < 2:
+        return None
+    try:
+        heads = "".join([line[:11] for line in lines]).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if len(heads) != 11 * len(lines):
+        return None
+    chars = np.frombuffer(heads, dtype=np.uint8).reshape(-1, 11)
+    digits = chars[:, _DIGIT_COLUMNS].astype(np.int64) - ord("0")
+    if (chars[:, [4, 7, 10]] != _SEPARATORS).any() or ((digits < 0) | (digits > 9)).any():
+        return None
+    d = digits.T
+    year = d[0] * 1000 + d[1] * 100 + d[2] * 10 + d[3]
+    month = d[4] * 10 + d[5]
+    day = d[6] * 10 + d[7]
+    if not ((month >= 1) & (month <= 12)).all():
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if not ((day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))).all():
+        return None
+    y = year - 1  # the ordinal `date.toordinal` gives, less the epoch's
+    days = y * 365 + y // 4 - y // 100 + y // 400 + _MONTH_START[month] + day
+    days += (leap & (month > 2)) - _EPOCH_ORDINAL
+    if days[0] < 0 or not (np.diff(days) > 0).all():
+        return None
+    try:  # last, so that a file with other heads never pays for it
+        prices = np.fromiter(map(float, [line[11:] for line in lines]), np.float64, len(lines))
+    except ValueError:
+        return None
+    if not ((prices > 0) & (prices < math.inf)).all():
+        return None
+    return days * DAY_US, prices
+
+
 def _looks_like_record(parts: list[str]) -> bool:
     try:
         parse_date(parts[0])
@@ -257,8 +298,8 @@ def _looks_like_record(parts: list[str]) -> bool:
 def serialize_csv(series: PriceSeries) -> str:
     """Canonical serialization: ISO-8601 dates, full-precision prices."""
     lines = []
-    for us, price in zip(series.times.tolist(), series.prices.tolist()):
+    for us, price in zip(series.times.tolist(), format_prices(series.prices)):
         ts = from_epoch_us(us).replace(tzinfo=None)
         stamp = ts.date().isoformat() if us % DAY_US == 0 else ts.isoformat()
-        lines.append(f"{stamp},{format_price(price)}")
+        lines.append(f"{stamp},{price}")
     return "\n".join(lines) + "\n"

@@ -41,13 +41,15 @@ class HistogramSpec:
             raise ValueError("expected_counts length mismatch")
 
     def to_csv(self) -> str:
-        lines = ["bin_lo,bin_hi,observed,expected"]
-        for lo, hi, obs, exp in zip(
-            self.bin_edges[:-1], self.bin_edges[1:],
-            self.observed_counts, self.expected_counts,
-        ):
-            lines.append(f"{float(lo)!r},{float(hi)!r},{int(obs)},{float(exp)!r}")
-        return "\n".join(lines) + "\n"
+        edges = np.asarray(self.bin_edges, dtype=float).tolist()
+        rows = zip(
+            edges[:-1], edges[1:],
+            np.asarray(self.observed_counts).astype(int).tolist(),
+            np.asarray(self.expected_counts, dtype=float).tolist(),
+        )
+        return "bin_lo,bin_hi,observed,expected\n" + "".join(
+            [f"{lo!r},{hi!r},{obs},{exp!r}\n" for lo, hi, obs, exp in rows]
+        )
 
 
 def daily_returns(s: PriceSeries) -> np.ndarray:

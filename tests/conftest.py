@@ -14,6 +14,21 @@ def daily_series(prices, id="TEST", kind="stock index", start=START):
     return PriceSeries(id=id, kind=kind, times=times, prices=prices)
 
 
+def edge_floats(seed: int, n: int = 300) -> np.ndarray:
+    """Positive floats that stress a decimal formatter, in random order:
+    random magnitudes, integral values, neighbours of 1e16 and 2**53, and
+    subnormals."""
+    rng = np.random.default_rng(seed)
+    edges = [1e16, 2.0**53, 1e-310, 5e-324, 2.2250738585072014e-308, 0.5, 1.0]
+    edges += [np.nextafter(v, d) for v in (1e16, 2.0**53) for d in (0, np.inf)]
+    return rng.permutation(np.concatenate([
+        rng.lognormal(0, 20, n),
+        np.ceil(rng.lognormal(0, 20, n)),
+        rng.integers(1, 10**6, n).astype(float),
+        edges,
+    ]))
+
+
 @pytest.fixture(scope="session")
 def dist2():
     return enumerate_machines(2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from marketcomplexity.align import (
+    AlignedPair,
     LinearTimeMap,
     align,
     detect_peaks,
@@ -13,7 +14,7 @@ from marketcomplexity.align import (
 from marketcomplexity.errors import AlignmentError
 from marketcomplexity.ingest import SampledSeries, to_absolute_time
 
-from conftest import daily_series
+from conftest import daily_series, edge_floats
 
 
 def _abs(y, m, d):
@@ -200,3 +201,15 @@ class TestSampledSeries:
     def test_out_of_order_rejected(self):
         with pytest.raises(ValueError, match="order"):
             sampled([1, 3, 2], [1, 1, 1])
+
+
+def test_aligned_csv_matches_per_row_loop():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        signed = np.concatenate([edge_floats(seed), -edge_floats(seed)])
+        columns = [rng.permutation(signed) for _ in range(3)]
+        pair = AlignedPair("A", "B", *columns)
+        expected = "dest_time,source_price,dest_price\n" + "".join(
+            f"{float(t)!r},{float(sp)!r},{float(dp)!r}\n" for t, sp, dp in zip(*columns)
+        )
+        assert pair.to_csv() == expected

@@ -2,7 +2,14 @@ import numpy as np
 
 from marketcomplexity.encode import binarize, serialize_prices
 
-from conftest import daily_series
+from conftest import daily_series, edge_floats
+
+
+def _format_price(value: float) -> str:
+    # the rule one price at a time: integral values below 1e16 as ints
+    if value == int(value) and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
 
 
 class TestBinarize:
@@ -58,3 +65,9 @@ class TestSerializePrices:
             prices = list(rng.uniform(0.001, 1e6, size=10))
             data = serialize_prices(daily_series(prices))
             assert [float(t) for t in data.decode().split(",")] == prices
+
+    def test_matches_per_price_formatting(self):
+        for seed in range(5):
+            prices = edge_floats(seed)
+            expected = ",".join(_format_price(p) for p in prices.tolist()).encode("ascii")
+            assert serialize_prices(daily_series(prices)) == expected

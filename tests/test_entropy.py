@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from marketcomplexity.entropy import block_entropy, shannon_entropy
 from marketcomplexity.errors import SeriesTooShortError
@@ -84,3 +84,31 @@ class TestBlockEntropy:
         r = block_entropy(s, max_block=4)
         assert 0.0 <= r.normalized <= 1.0
 
+
+
+def counter_block_bits(text, max_block):
+    """Block entropy from a `Counter` of window strings per length."""
+    return sum(
+        entropy_oracle(Counter(text[j : j + i] for j in range(len(text) - i + 1)).values())
+        for i in range(1, max_block + 1)
+    )
+
+
+class TestBlockEntropyBitIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_counter_oracle(self, data):
+        alphabet = data.draw(st.sampled_from(["01", "abcde"]))
+        max_block = data.draw(st.integers(1, 10))
+        text = data.draw(st.text(alphabet=alphabet, min_size=max_block, max_size=400))
+        assert block_entropy(text, max_block).bits == counter_block_bits(text, max_block)
+
+    @pytest.mark.parametrize("max_block", range(1, 11))
+    def test_text_as_long_as_max_block(self, max_block):
+        for text in ("0110100110"[:max_block], "abcdeedcba"[:max_block]):
+            assert block_entropy(text, max_block).bits == counter_block_bits(text, max_block)
+
+    def test_long_walk(self):
+        rng = np.random.default_rng(4)
+        text = "".join(rng.choice(["0", "1"], size=20_000))
+        assert block_entropy(text, 10).bits == counter_block_bits(text, 10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from marketcomplexity import ingest
 from marketcomplexity.errors import CsvParseError, SeriesTooShortError
 from marketcomplexity.ingest import (
     EPOCH,
@@ -14,6 +15,8 @@ from marketcomplexity.ingest import (
     serialize_csv,
     to_absolute_time,
 )
+
+from conftest import daily_series, edge_floats
 
 
 def gregorian_day_count(target: date) -> int:
@@ -142,6 +145,14 @@ class TestParseCsv:
         s2 = parse_csv(serialize_csv(s), "BTC", "cryptocurrency")
         assert s2.points == s.points
 
+    def test_serialize_csv_formats_edge_prices(self):
+        # integral values below 1e16 as ints, every other price as its repr
+        for seed in range(3):
+            prices = edge_floats(seed).tolist()
+            text = serialize_csv(daily_series(prices))
+            expected = [str(int(p)) if p == int(p) and p < 1e16 else repr(p) for p in prices]
+            assert [line.split(",")[1] for line in text.splitlines()] == expected
+
 
 class TestColumnarSeries:
     def test_columns(self):
@@ -252,7 +263,7 @@ class TestParseCsvFastBranch:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_ROWS, max_size=8))
     def test_agrees_with_general_path(self, rows):
-        # a leading space keeps every line off the fixed-width branch
+        # a leading space keeps the file off the bulk pass
         text = "\n".join(rows)
         general = "\n".join(" " + row for row in rows)
         assert _outcome(text) == _outcome(general)
@@ -273,3 +284,79 @@ class TestParseCsvFastBranch:
             parse_csv(f"2013-01-01,1\n{row}\n2013-01-03,2\n", "X", "stock index")
         assert str(exc.value) == message
         assert exc.value.line == 2
+
+
+_BAD_DAYS = ["00", "29", "30", "31", "32", "0:", "1:", "3:", "0/", "1 ", "1\x00"]
+_BAD_MONTHS = ["00", "13", "0:", "1 "]
+_EARLY_DATES = ["1899-12-31", "1000-01-01", "0000-01-01"]
+_BAD_PRICES = ["0", "-1", "-0.0", "nan", "inf", "1e999", "1_0", "", "1e-400"]
+_DEFECTS = ["none"] * 3 + [
+    "day", "month", "early", "duplicate", "order", "price", "trail", "crlf", "blank"
+]
+_PRICES_OK = st.floats(min_value=1e-300, max_value=1e300).map(repr) | st.integers(1, 99).map(str)
+
+
+@st.composite
+def _fixed_width_files(draw):
+    """Rows `YYYY-MM-DD,<price>` on increasing days from the epoch on, and
+    at most one defect; returns the rows and the line separator."""
+    day = draw(st.dates(min_value=date(1900, 1, 1), max_value=date(2200, 1, 1)))
+    rows = []
+    for step in draw(st.lists(st.integers(1, 400), min_size=1, max_size=10)):
+        rows.append(f"{day.isoformat()},{draw(_PRICES_OK)}")
+        day += timedelta(days=step)
+    defect = draw(st.sampled_from(_DEFECTS))
+    i = draw(st.integers(0, len(rows) - 1))
+    j = max(i, 1) if len(rows) > 1 else None
+    sep = "\n"
+    if defect == "day":
+        rows[i] = rows[i][:8] + draw(st.sampled_from(_BAD_DAYS)) + rows[i][10:]
+    elif defect == "month":
+        rows[i] = rows[i][:5] + draw(st.sampled_from(_BAD_MONTHS)) + rows[i][7:]
+    elif defect == "early":
+        rows[0] = draw(st.sampled_from(_EARLY_DATES)) + rows[0][10:]
+    elif defect == "duplicate" and j:
+        rows[j] = rows[j - 1][:10] + rows[j][10:]
+    elif defect == "order" and j:
+        rows[j - 1], rows[j] = rows[j], rows[j - 1]
+    elif defect == "price":
+        rows[i] = rows[i][:11] + draw(st.sampled_from(_BAD_PRICES))
+    elif defect == "trail":
+        rows[i] += draw(st.sampled_from([" ", "\t"]))
+    elif defect == "crlf":
+        sep = "\r\n"
+    elif defect == "blank":
+        rows.append("")
+    return rows, sep
+
+
+class TestParseCsvBulkPass:
+    @settings(max_examples=500, deadline=None)
+    @given(_fixed_width_files())
+    def test_agrees_with_per_line_loop(self, file):
+        # a leading space keeps the file off the bulk pass: the per-line
+        # loop reads it
+        rows, sep = file
+        text = sep.join(rows) + sep
+        general = sep.join(" " + row for row in rows) + sep
+        assert _outcome(text) == _outcome(general)
+
+    def test_every_day_to_2400_matches_calendar(self):
+        # leap rules for 1900, 2000, 2100 and 2400, and every month length
+        days = [date(1900, 1, 1) + timedelta(days=k) for k in range(183_000)]
+        s = parse_csv("".join(f"{d.isoformat()},1\n" for d in days), "X", "stock index")
+        expected = [(d - date(1900, 1, 1)).days * 86_400_000_000 for d in days]
+        assert days[-1].year == 2401 and s.times.tolist() == expected
+
+    def test_clean_file_takes_bulk_pass(self, monkeypatch):
+        def per_line(*args):
+            raise AssertionError("per-line loop reached")
+
+        monkeypatch.setattr(ingest, "parse_date", per_line)
+        text = "1900-01-01,1.5\n2000-02-29,2\n2100-03-01,1e-3\n"
+        s = parse_csv(text, "X", "stock index")
+        days = [date(1900, 1, 1), date(2000, 2, 29), date(2100, 3, 1)]
+        assert s.times.tolist() == [gregorian_day_count(d) * 86_400_000_000 for d in days]
+        assert s.prices.tolist() == [1.5, 2.0, 1e-3]
+        with pytest.raises(AssertionError, match="per-line loop reached"):
+            parse_csv("date,price\n" + text, "X", "stock index")

@@ -350,6 +350,19 @@ def test_ctm_gen_d_max_out_of_range_exit_2(tmp_path, capsys, d_max):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("run", [["--states", "3"], ["--states", "4", "--budget", "10"]])
+def test_ctm_gen_checks_d_max_before_any_machine(tmp_path, capsys, monkeypatch, run):
+    def never(*args, **kwargs):
+        raise AssertionError("machines ran before --d-max was checked")
+
+    monkeypatch.setattr("marketcomplexity.bdm.enumerate_machines", never)
+    monkeypatch.setattr("marketcomplexity.cli.sample_machines", never)
+    out = tmp_path / "t.tsv"
+    assert main(["ctm-gen", *run, "--d-max", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: d_max must be in 1..16, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _main_exit_code(argv: list[str]) -> int:
     """`main`'s return value, or the status of argparse's SystemExit."""
     try:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from marketcomplexity.errors import DegenerateSeriesError
 from marketcomplexity.returns import (
+    HistogramSpec,
     ReturnStatistics,
     _ndtr,
     build_histogram,
@@ -15,7 +16,7 @@ from marketcomplexity.returns import (
     moments,
 )
 
-from conftest import daily_series
+from conftest import daily_series, edge_floats
 
 
 class TestDailyReturns:
@@ -173,6 +174,20 @@ class TestHistogram:
         lines = hist.to_csv().strip().splitlines()
         assert lines[0] == "bin_lo,bin_hi,observed,expected"
         assert len(lines) == len(hist.observed_counts) + 1
+
+    def test_csv_matches_per_row_loop(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            signed = np.concatenate([edge_floats(seed), -edge_floats(seed)])
+            edges = np.sort(signed)
+            observed = rng.integers(0, 10**6, len(edges) - 1)
+            expected = rng.permutation(signed)[1:]
+            hist = HistogramSpec(edges, observed, expected)
+            rows = [
+                f"{float(lo)!r},{float(hi)!r},{int(obs)},{float(exp)!r}"
+                for lo, hi, obs, exp in zip(edges[:-1], edges[1:], observed, expected)
+            ]
+            assert hist.to_csv() == "\n".join(["bin_lo,bin_hi,observed,expected"] + rows) + "\n"
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=50))
