@@ -12,6 +12,7 @@ import numpy as np
 from .align import align
 from .errors import DegenerateSeriesError, MarketComplexityError
 from .ingest import PriceSeries
+from .returns import ReturnStatistics
 
 # column order of the metric report export
 METRIC_COLUMNS = [
@@ -40,6 +41,8 @@ class MarketMetrics:
     kind: str
     values: dict[str, float] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
+    # the moments of the windowed log returns, when they could be computed
+    stats: ReturnStatistics | None = field(default=None, repr=False, compare=False)
 
     def cell(self, metric: str) -> str:
         if metric in self.values:
@@ -75,6 +78,7 @@ def compute_market_metrics(
     bdm_d: int = 4,
     bdm_overlap: int | None = None,
     hw_L: int = 2,
+    log_returns: np.ndarray | None = None,
 ) -> MarketMetrics:
     """Every metric for one market, with per-metric failure isolation.
 
@@ -82,20 +86,24 @@ def compute_market_metrics(
     the window left too little data); the full history feeds only the
     full-history roughness column. Each group of columns comes from one
     call: if it raises, every column of the group fails with its reason; a
-    NaN or infinite value fails only its own column.
+    NaN or infinite value fails only its own column. Pass `log_returns` when
+    the caller has those of `windowed` already.
     """
     from . import encode, entropy, fractal, lzw, returns
     from .bdm import bdm as bdm_fn
 
+    m = MarketMetrics(id=full.id, kind=full.kind)
     groups = [
         (("n_points",), lambda: (len(full),)),
         (("hall_wood_full",), lambda: (fractal.hall_wood(full, hw_L).value,)),
     ]
     if windowed is not None:
         moves = encode.binarize(windowed)
+        if log_returns is None:
+            log_returns = returns.log_returns(windowed)
 
         def moments():
-            st = returns.moments(returns.log_returns(windowed))
+            m.stats = st = returns.moments(log_returns)
             return st.mean, st.std_dev, st.kurtosis, st.skewness
 
         def blockent():
@@ -122,7 +130,6 @@ def compute_market_metrics(
             (("hall_wood_window",), lambda: (fractal.hall_wood(windowed, hw_L).value,)),
         ]
 
-    m = MarketMetrics(id=full.id, kind=full.kind)
     for columns, fn in groups:
         try:
             values = fn()

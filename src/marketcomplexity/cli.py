@@ -170,6 +170,7 @@ def cmd_report(args) -> int:
     for id, kind, _ in cfg.markets:
         full = series[id]
         windowed = full.window(cfg.window_start, cfg.window_end)
+        logret = None if windowed is None else returns_mod.log_returns(windowed)
         m = compute_market_metrics(
             full,
             windowed,
@@ -178,10 +179,11 @@ def cmd_report(args) -> int:
             bdm_d=cfg.bdm_d,
             bdm_overlap=cfg.bdm_overlap,
             hw_L=cfg.fractal_L,
+            log_returns=logret,
         )
-        if windowed is not None:
+        if logret is not None:
             try:
-                hist = returns_mod.build_histogram(returns_mod.log_returns(windowed))
+                hist = returns_mod.build_histogram(logret, m.stats)
                 (outdir / f"{id}_hist.csv").write_text(
                     header + hist.to_csv(), encoding="utf-8"
                 )
@@ -281,7 +283,7 @@ def cmd_returns(args) -> int:
         f"kurtosis={st.kurtosis!r} skewness={st.skewness!r}"
     )
     if args.hist_out:
-        hist = returns_mod.build_histogram(logret)
+        hist = returns_mod.build_histogram(logret, st)
         Path(args.hist_out).write_text(_file_header() + hist.to_csv(), encoding="utf-8")
     return 0
 

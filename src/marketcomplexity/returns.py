@@ -18,6 +18,10 @@ import numpy as np
 from .errors import DegenerateSeriesError
 from .ingest import PriceSeries
 
+# far above what real-looking series need (tier-1's largest is about 1 150
+# bins, for 7 returns) and far below what would exhaust memory
+MAX_HISTOGRAM_BINS = 100_000
+
 
 @dataclass(frozen=True)
 class ReturnStatistics:
@@ -105,15 +109,34 @@ def lognormal_reference(
     return n * np.diff(cdf)
 
 
-def build_histogram(x, bins="fd") -> HistogramSpec:
+def build_histogram(x, stats: ReturnStatistics | None = None) -> HistogramSpec:
     """Observed counts plus the normal-reference expectation on the same
-    bins. Default binning is the Freedman-Diaconis rule."""
+    bins, chosen by the Freedman-Diaconis rule. `stats` are the moments of
+    `x` when the caller has them already."""
     x = np.asarray(x, dtype=float)
-    stats = moments(x)
-    edges = np.histogram_bin_edges(x, bins=bins)
+    if stats is None:
+        stats = moments(x)
+    edges = np.histogram_bin_edges(x, bins=_fd_bin_count(x))
     observed, _ = np.histogram(x, bins=edges)
     expected = lognormal_reference(stats, edges, len(x))
     return HistogramSpec(edges, observed, expected)
+
+
+def _fd_bin_count(x: np.ndarray) -> int:
+    """The bin count numpy's `bins="fd"` gives the finite, non-constant
+    sample x, refused above MAX_HISTOGRAM_BINS: a jump beside a near-zero
+    spread would otherwise ask for terabytes of bins."""
+    iqr = np.subtract(*np.percentile(x, [75, 25]))
+    width = 2.0 * iqr * x.size ** (-1.0 / 3.0)
+    if not width:
+        return 1
+    bins = np.ceil((x.max() - x.min()) / width)
+    if bins > MAX_HISTOGRAM_BINS:
+        raise DegenerateSeriesError(
+            f"Freedman-Diaconis binning asks for {bins:.3g} bins, "
+            f"more than the limit of {MAX_HISTOGRAM_BINS}"
+        )
+    return int(bins)
 
 
 # Cephes ndtr.c: polynomial coefficients, highest order first.

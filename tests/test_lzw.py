@@ -6,6 +6,139 @@ from marketcomplexity.errors import CodeStreamError
 from marketcomplexity.lzw import compressibility, lzw_compress, lzw_decompress
 
 
+def compress_oracle(data: bytes) -> list[int]:
+    """Greedy LZW with a dictionary keyed by (prefix code, next byte)."""
+    table: dict[tuple[int, int], int] = {}
+    next_code = 256
+    codes = []
+    current = data[0]
+    for byte in data[1:]:
+        key = (current, byte)
+        code = table.get(key)
+        if code is not None:
+            current = code
+        else:
+            codes.append(current)
+            table[key] = next_code
+            next_code += 1
+            current = byte
+    codes.append(current)
+    return codes
+
+
+def decompress_oracle(codes: list[int]) -> bytes:
+    """LZW decoding one code at a time, with the KwKwK case and the
+    position checks."""
+    if len(codes) == 0:
+        raise CodeStreamError("empty code stream")
+    entries: list[bytes] = [bytes([i]) for i in range(256)]
+    first = codes[0]
+    if not 0 <= first < 256:
+        raise CodeStreamError(f"impossible first code {first}")
+    out = bytearray(entries[first])
+    prev = entries[first]
+    for code in codes[1:]:
+        if 0 <= code < len(entries):
+            current = entries[code]
+        elif code == len(entries):
+            current = prev + prev[:1]  # KwKwK
+        else:
+            raise CodeStreamError(f"code {code} cannot exist at its position")
+        out += current
+        entries.append(prev + current[:1])
+        prev = current
+    return bytes(out)
+
+
+KWKWK_FIXTURES = [
+    b"ABABABA",
+    b"ABABABABAB",
+    b"A" * 1000,
+    b"AAAABBBB" * 64,
+    b"\x00" * 500,
+    b"abc" * 400,
+    bytes(range(256)) * 4,
+    b"A" + b"B" * 999,
+    b"\x00",
+]
+
+
+def assert_same_as_oracles(data: bytes) -> None:
+    codes = lzw_compress(data)
+    assert codes == compress_oracle(data)
+    assert lzw_decompress(codes) == decompress_oracle(codes) == data
+
+
+def decode_error(decode, codes) -> str:
+    with pytest.raises(CodeStreamError) as exc:
+        decode(codes)
+    return str(exc.value)
+
+
+class TestOracleEquivalence:
+    """The trie compressor and the array decoder against the tuple-keyed
+    and per-code loops they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([b"a", b"ab", b"abc", b"\x00\xff", b"0123456789,."]).flatmap(
+            lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=1, max_size=5000)
+        )
+    )
+    def test_low_entropy_alphabets(self, symbols):
+        assert_same_as_oracles(bytes(symbols))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=400))
+    def test_comma_joined_float_text(self, xs):
+        assert_same_as_oracles(",".join(map(repr, xs)).encode("ascii"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=600))
+    def test_any_valid_stream(self, fractions):
+        # streams no compressor emits (codes left unused, KwKwK anywhere)
+        # still decode to the oracle's bytes
+        codes = [int(f * (256 + i)) for i, f in enumerate(fractions)]
+        assert lzw_decompress(codes) == decompress_oracle(codes)
+
+
+# a code at position i is valid iff 0 <= code <= 255 + i
+_BAD = [
+    lambda i: -1,
+    lambda i: 256 + i,  # one past the limit
+    lambda i: 256 + i + 10**6,
+    lambda i: 2**63,
+    lambda i: -(2**63) - 1,
+    lambda i: 2**70,
+    lambda i: -(2**70),
+]
+
+
+class TestCorruptedStreams:
+    @pytest.mark.parametrize("bad", range(len(_BAD)))
+    @pytest.mark.parametrize("at", [0, 1, 5])
+    def test_single_bad_code(self, bad, at):
+        codes = lzw_compress(b"ABABABABAB" * 3)
+        codes[at] = _BAD[bad](at)
+        assert decode_error(lzw_decompress, codes) == decode_error(decompress_oracle, codes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.binary(min_size=1, max_size=400),
+        st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, len(_BAD) - 1)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_first_bad_code_wins(self, data, corruptions):
+        codes = lzw_compress(data)
+        for where, bad in corruptions:
+            at = where % len(codes)
+            codes[at] = _BAD[bad](at)
+        assert decode_error(lzw_decompress, codes) == decode_error(decompress_oracle, codes)
+
+
 class TestCompress:
     def test_single_byte(self):
         assert lzw_compress(b"A") == [65]
@@ -62,20 +195,14 @@ class TestRoundtrip:
         data = rng.integers(0, 256, size=1024, dtype=np.uint8).tobytes()
         assert lzw_decompress(lzw_compress(data)) == data
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.binary(min_size=1, max_size=2000))
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(min_size=1, max_size=3000))
     def test_property(self, data):
-        assert lzw_decompress(lzw_compress(data)) == data
+        assert_same_as_oracles(data)
 
     def test_structured_fixtures(self):
-        for data in (
-            b"\x00" * 500,
-            b"abc" * 400,
-            bytes(range(256)) * 4,
-            b"A" + b"B" * 999,
-            b"ABABABABAB",
-        ):
-            assert lzw_decompress(lzw_compress(data)) == data
+        for data in KWKWK_FIXTURES:
+            assert_same_as_oracles(data)
 
 
 class TestCompressibility:

@@ -186,6 +186,66 @@ def test_overflowing_returns_print_only_report_warnings(tmp_path):
     assert lines and all(line.startswith("warning: ") for line in lines), proc.stderr
 
 
+def test_histogram_bin_bound(tmp_path, monkeypatch, capsys):
+    """A jump beside a near-zero spread, for which Freedman-Diaconis asks
+    for about 3e13 bins: `report` writes a histogram failure and exits 1,
+    `returns --hist-out` exits 2; neither ends in a traceback."""
+    rng = np.random.default_rng(0)
+    prices = 100 * np.exp(np.cumsum(1e-13 * rng.standard_normal(400)))
+    prices[200:] *= 3
+    start = date(2013, 1, 1)
+    jump = tmp_path / "jump.csv"
+    rows = [f"{start + timedelta(days=i)},{p!r}\n" for i, p in enumerate(prices.tolist())]
+    jump.write_text("".join(rows), encoding="utf-8")
+    good = _write_iso_market(tmp_path / "good.csv", 45)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"market = JUMP, stock index, {jump}\nmarket = GOOD, stock index, {good}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--output-dir", str(out)]) == 1
+    reason = "Freedman-Diaconis binning asks for 2.99e+13 bins, more than the limit of 100000"
+    assert f"  JUMP histogram: {reason}\n" in (out / "report.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().err == f"warning: JUMP histogram: {reason}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["GOOD_hist.csv", "report.csv", "report.txt"]
+
+    hist = tmp_path / "jump_hist.csv"
+    assert main(["returns", str(jump), "--hist-out", str(hist)]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not hist.exists()
+
+
+def test_report_computes_moments_once_per_market(tmp_path, monkeypatch):
+    """The histogram reuses the moments of the metric columns; when they
+    fail, it fails with their reason."""
+    from marketcomplexity import returns
+
+    calls = []
+    moments = returns.moments
+
+    def counted(x):
+        calls.append(len(x))
+        return moments(x)
+
+    monkeypatch.setattr(returns, "moments", counted)
+    good = _write_iso_market(tmp_path / "good.csv", 46)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "".join(f"market = {id}, stock index, {good}\n" for id in ("A", "B", "C")),
+        encoding="utf-8",
+    )
+    assert main(["report", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 3
+
+    wild = _write_wild_market(tmp_path / "wild.csv")
+    cfg.write_text(f"market = WILD, stock index, {wild}\n", encoding="utf-8")
+    assert main(["report", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    text = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+    assert "  WILD histogram: non-finite sample value\n" in text
+    assert "  WILD kurtosis: non-finite sample value\n" in text
+
+
 @pytest.mark.parametrize("command", ["returns", "fractal"])
 def test_single_measure_commands_raise_no_numpy_warnings(tmp_path, capsys, command):
     wild = _write_wild_market(tmp_path / "wild.csv")

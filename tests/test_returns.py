@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from marketcomplexity.errors import DegenerateSeriesError
 from marketcomplexity.returns import (
+    MAX_HISTOGRAM_BINS,
     HistogramSpec,
     ReturnStatistics,
     _ndtr,
     build_histogram,
     daily_returns,
+    _fd_bin_count,
     lognormal_reference,
     log_returns,
     moments,
@@ -175,6 +177,21 @@ class TestHistogram:
         assert lines[0] == "bin_lo,bin_hi,observed,expected"
         assert len(lines) == len(hist.observed_counts) + 1
 
+    def test_jump_beside_near_zero_spread_is_refused(self):
+        # Freedman-Diaconis would ask for about 3e13 bins here
+        rng = np.random.default_rng(0)
+        prices = 100 * np.exp(np.cumsum(1e-13 * rng.standard_normal(400)))
+        prices[200:] *= 3
+        x = log_returns(daily_series(prices))
+        with pytest.raises(DegenerateSeriesError, match="Freedman-Diaconis binning asks for"):
+            build_histogram(x)
+
+    def test_given_stats_are_used(self):
+        x = np.random.default_rng(11).standard_normal(300)
+        a, b = build_histogram(x), build_histogram(x, moments(x))
+        for name in ("bin_edges", "observed_counts", "expected_counts"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
     def test_csv_matches_per_row_loop(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -198,3 +215,22 @@ def test_moments_mean_matches_numpy(xs):
             moments(xs)
     else:
         assert moments(xs).mean == pytest.approx(arr.mean(), rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300),
+    st.floats(1e-12, 1.0),
+)
+def test_fd_bin_count_matches_numpy(xs, scale):
+    """The bounded count gives the same edges as numpy's own `bins="fd"`."""
+    x = np.asarray(xs) * scale
+    if x.min() == x.max():
+        return
+    try:
+        bins = _fd_bin_count(x)
+    except DegenerateSeriesError:
+        width = 2 * np.subtract(*np.percentile(x, [75, 25])) * x.size ** (-1 / 3)
+        assert (x.max() - x.min()) / width > MAX_HISTOGRAM_BINS
+        return
+    assert np.array_equal(np.histogram_bin_edges(x, bins=bins), np.histogram_bin_edges(x, "fd"))
