@@ -11,14 +11,19 @@ Every machine runs from a blank (all-zero) tape for at most `step_bound`
 steps; the recorded output of a halting machine is the bit content of the
 tape region its head visited. With step bounds at the known maximal halting
 step counts for each state count, the enumeration is exhaustive: anything
-still running is a certified non-halter. Exhaustive and sampled runs both
-step their machines together, in batches, as numpy arrays; `run_machine`
-simulates one machine and is the reference the batched kernel is tested
-against.
+still running is a certified non-halter.
+
+Exhaustive and sampled runs both go through one lockstep kernel, which
+steps a batch of machines as numpy arrays. Lookup tables indexed by option
+value decode their transition tables; a tape cell's nonzero mark holds its
+bit and records a visit; halting entries lead to a shared absorbing row.
+So the step loop neither tracks visited bounds nor tests for halts.
+`run_machine` simulates one machine and is the kernel's test reference.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -92,76 +97,83 @@ def run_machine(index: int, states: int, step_bound: int) -> str | None:
     return None
 
 
-def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[Counter, int]:
-    """Lockstep kernel: the machines with the int64 indices `m` step at once.
+# next entry of a halting option, clipped by the kernel to its absorbing row
+_ABSORB = 1 << 62
 
-    Machines without a halting entry are dropped before the first step.
-    Each machine has its own row of a flat tape, and positions, visited
-    bounds and transition-table entries are flat indices into the tape and
-    into the batch's tables. A machine leaves the active set on the step it
-    reaches a halting entry.
-    """
-    base, n_entries, width = 4 * states + 2, 2 * states, 2 * step_bound + 3
-    v = np.empty((len(m), n_entries), dtype=np.int64)
-    for e in range(n_entries):
-        m, v[:, e] = np.divmod(m, base)
-    halts = v < 2
-    keep = halts.any(axis=1)
-    v, halts = v[keep], halts[keep]
-    w = v - 2
-    rows = np.arange(len(v), dtype=np.int64)
-    halt = halts.ravel()
-    write = np.where(halts, v, w & 1).astype(np.uint8).ravel()
-    # a halting entry's move and next state are never read
-    move = (2 * ((w >> 1) & 1) - 1).ravel()
-    nxt = (rows[:, None] * n_entries + 2 * (w >> 2)).ravel()
-    tape = np.zeros(len(v) * width, dtype=np.uint8)
-    pos = rows * width + step_bound + 1
-    cur = rows * n_entries
-    lo, hi = pos.copy(), pos.copy()
-    done_lo, done_hi = [], []
-    for _ in range(step_bound):
-        if not len(pos):
-            break
+
+@functools.cache
+def _option_tables(states: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mark written, head move and next entry offset of each option value,
+    then at -3, -2, -1 the absorbing row's entries, which write back the
+    mark they read and stay put. A cell's mark is 0 until visited, then
+    2 - bit; a working option leads to entry 3 * state of its machine."""
+    w = range(4 * states)  # the working options 2 + w
+    write = [2, 1] + [2 - (x & 1) for x in w] + [0, 1, 2]
+    move = [0, 0] + [1 if x & 2 else -1 for x in w] + [0, 0, 0]
+    nxt = [_ABSORB] * 2 + [3 * (x >> 2) for x in w] + [_ABSORB] * 3
+    # int8 moves keep the tables of a large batch small enough for the cache
+    return np.array(write, dtype=np.uint8), np.array(move, dtype=np.int8), np.array(nxt)
+
+
+def _entry_tables(states: int, m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark written, head move and next entry of every entry of the machines
+    `m` that have a halting entry, in rows of three per state read at the
+    mark under the head, then the absorbing row; and their first entries."""
+    n_entries = 3 * states
+    write, move, nxt = _option_tables(states)
+    v = np.empty((len(m) + 1, n_entries), dtype=np.int64)
+    least = np.full(len(m), 2)  # least option value; below 2 means a halting entry
+    for e in range(2 * states):
+        m, r = np.divmod(m, 4 * states + 2)
+        v[:-1, e + e // 2] = r  # the entry of state e // 2 reading e % 2
+        np.minimum(least, r, out=least)
+    v[:, 2::3] = v[:, ::3]  # mark 2 reads as bit 0
+    v[-1] = [-3, -2, -1] * states
+    v = v.take(np.append(np.flatnonzero(least < 2), len(least)), axis=0)
+    rows = np.arange(0, v.size, n_entries)
+    nxt = nxt[v].ravel()
+    nxt += rows.repeat(n_entries)
+    np.minimum(nxt, rows[-1], out=nxt)
+    return write[v].ravel(), move[v].ravel(), nxt, rows[:-1]
+
+
+def _run_batch(states: int, step_bound: int, m: np.ndarray) -> np.ndarray:
+    """Lockstep kernel: steps the machines with the int64 indices `m` at once
+    on rows of one flat tape, and returns the rows of those that halt. A
+    halted machine idles in the absorbing row until the next compaction,
+    after steps 1, 2, 4, 8, ... and the last."""
+    write, move, nxt, cur = _entry_tables(states, m)
+    absorb, width = len(nxt) - 3 * states, 2 * step_bound + 3
+    tape = np.zeros(len(cur) * width, dtype=np.uint8)
+    pos = np.arange(step_bound + 1, len(tape), width)
+    done, reach = [pos[:0]], 1
+    for step in range(1, step_bound + 1):
         e = cur + tape[pos]
         tape[pos] = write[e]
-        h = halt[e]
-        if h.any():
-            done_lo.append(lo[h])
-            done_hi.append(hi[h])
-            k = ~h
-            pos, e, lo, hi = pos[k], e[k], lo[k], hi[k]
         pos += move[e]
         cur = nxt[e]
-        np.minimum(lo, pos, out=lo)
-        np.maximum(hi, pos, out=hi)
-    if not done_lo:
-        return Counter(), 0
-    lo, hi = np.concatenate(done_lo), np.concatenate(done_hi)
-    return _region_counts(tape, lo, hi), len(lo)
+        if step & (step - 1) == 0 or step == step_bound:
+            h = cur == absorb
+            done.append(pos[h])
+            pos, cur = pos[~h], cur[~h]
+            reach = step if len(done[-1]) else reach
+    # a machine halted by step `reach` visited only the start cell +- (reach - 1)
+    halted = np.concatenate(done) // width
+    return tape.reshape(-1, width)[halted, step_bound + 2 - reach : step_bound + 1 + reach]
 
 
-def _region_counts(tape: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Counter:
-    """Counts of the bit strings tape[lo[i]..hi[i]] (inclusive).
+_MARK_BITS = bytes.maketrans(b"\x01\x02", b"10")
 
-    Each region is packed, right-aligned behind a leading 1 bit, into the
-    fewest whole bytes that hold the longest one, so strings of any length
-    get distinct keys and np.unique counts them.
-    """
-    length = hi - lo + 1
-    nbytes = (int(length.max()) + 8) // 8
-    cols = 8 * nbytes
-    p = hi[:, None] - np.arange(cols - 1, -1, -1)
-    bits = np.where(p >= lo[:, None], tape[np.maximum(p, lo[:, None])], 0)
-    bits[np.arange(len(lo)), cols - 1 - length] = 1
-    keys = np.packbits(bits, axis=1).view(f"V{nbytes}").ravel()
-    keys, counts = np.unique(keys, return_counts=True)
-    return Counter(
-        {
-            format(int.from_bytes(k.tobytes(), "big"), "b")[1:]: c
-            for k, c in zip(keys, counts.tolist())
-        }
-    )
+
+def _region_counts(rows: np.ndarray) -> tuple[Counter, int]:
+    """Counts of the outputs on the tape rows `rows`, and their number. A
+    row's output is its run of visited cells, marked 1 for bit 1 and 2 for
+    bit 0."""
+    keys = Counter(rows.view(f"S{rows.shape[1]}").ravel().tolist())
+    out: Counter = Counter()
+    for k, c in keys.items():
+        out[k.translate(_MARK_BITS, b"\0").decode()] += c
+    return out, len(rows)
 
 
 def enumerate_range(
@@ -170,6 +182,8 @@ def enumerate_range(
     """Halting-output counts over machine indices [start, stop)."""
     if start < 0 or stop > machine_count(states) or start > stop:
         raise ValueError("invalid machine index range")
+    if step_bound < 0:
+        raise ValueError("step_bound must be non-negative")
     batches = (
         np.arange(a, min(a + BATCH, stop), dtype=np.int64) for a in range(start, stop, BATCH)
     )
@@ -177,11 +191,11 @@ def enumerate_range(
 
 
 def _run_batches(states: int, step_bound: int, batches) -> tuple[Counter, int]:
-    """Summed `_run_batch` results over an iterable of index arrays."""
+    """Summed output counts of `_run_batch` over an iterable of index arrays."""
     counts: Counter = Counter()
     halting = 0
     for m in batches:
-        c, h = _run_batch(states, step_bound, m)
+        c, h = _region_counts(_run_batch(states, step_bound, m))
         counts.update(c)
         halting += h
     return counts, halting

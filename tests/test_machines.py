@@ -1,12 +1,13 @@
 from collections import Counter
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from marketcomplexity.bdm import machines
+from marketcomplexity.bdm import ctm_from_frequency, machines
 from marketcomplexity.bdm.machines import (
     BATCH,
     KNOWN_STEP_BOUNDS,
@@ -101,17 +102,65 @@ class TestKernelAgainstReference:
         assert enumerate_range(2, 70, 0, 2000) == reference_range(2, 70, 0, 2000)
 
     def test_regions_longer_than_64_bits(self):
+        # a tape row holds its output as marks (1 for bit 1, 2 for bit 0)
+        # between unvisited zeros, at any offset
         rng = np.random.default_rng(3)
-        tape = rng.integers(0, 2, 300).astype(np.uint8)
-        lo = np.array([0, 5, 5, 100, 0, 299, 17, 150])
-        hi = np.array([99, 68, 69, 100, 299, 299, 80, 212])
-        text = "".join(map(str, tape))
-        expected = Counter(text[a : b + 1] for a, b in zip(lo, hi))
-        assert _region_counts(tape, lo, hi) == expected
+        outs = ["".join(map(str, rng.integers(0, 2, k))) for k in (100, 64, 65, 1, 300, 1, 64, 63)]
+        rows = np.zeros((len(outs) + 1, 310), dtype=np.uint8)
+        for i, s in enumerate(outs + [outs[0]]):
+            at = 1 + i % 7
+            rows[i, at : at + len(s)] = [2 - int(b) for b in s]
+        expected = Counter(outs + [outs[0]])
+        assert _region_counts(rows) == (expected, len(outs) + 1)
         # leading zeros are kept: "0", "00" and "000" are distinct strings
-        zeros = np.zeros(8, dtype=np.uint8)
-        got = _region_counts(zeros, np.array([0, 0, 1, 2]), np.array([0, 1, 2, 4]))
-        assert got == Counter({"0": 1, "00": 2, "000": 1})
+        zeros = np.array([[2, 0, 0, 0], [2, 2, 0, 0], [0, 2, 2, 0], [0, 2, 2, 2]], dtype=np.uint8)
+        assert _region_counts(zeros) == (Counter({"0": 1, "00": 2, "000": 1}), 4)
+        assert _region_counts(zeros[:0]) == (Counter(), 0)
+
+    FOUR = machine_count(4)
+
+    @given(st.integers(0, FOUR), st.integers(0, 150))
+    @example(0, 150)
+    @example(FOUR - 150, 150)
+    @example(FOUR // 2, 150)
+    def test_four_state_slices(self, start, length):
+        stop = min(start + length, self.FOUR)
+        bound = KNOWN_STEP_BOUNDS[4]
+        assert enumerate_range(4, bound, start, stop) == reference_range(
+            4, bound, start, stop
+        )
+
+    @pytest.mark.parametrize("states", [1, 2])
+    @pytest.mark.parametrize("bound", range(10))
+    def test_full_ensembles_at_every_step_bound(self, states, bound):
+        # the last step falls on a compaction step (1, 2, 4, 8) and off it
+        total = machine_count(states)
+        assert enumerate_range(states, bound, 0, total) == reference_range(
+            states, bound, 0, total
+        )
+
+    def test_one_machine_batches(self, monkeypatch):
+        monkeypatch.setattr(machines, "BATCH", 1)
+        start, stop = 2_000_000, 2_000_600
+        assert enumerate_range(3, 21, start, stop) == reference_range(3, 21, start, stop)
+        start = machine_count(4) // 3
+        assert enumerate_range(4, 107, start, start + 300) == reference_range(
+            4, 107, start, start + 300
+        )
+
+    def test_slices_where_no_machine_halts(self):
+        # indices 2..5: entry (state 0, read 0) writes, moves and returns to
+        # state 0, so every machine walks off over blank tape; the machines
+        # of the second slice have no halting entry and never step at all
+        no_halt_entry = sum(2 * 14**e for e in range(6))
+        for start, stop in [(2, 6), (no_halt_entry, no_halt_entry + 12)]:
+            assert reference_range(3, 21, start, stop) == (Counter(), 0)
+            assert enumerate_range(3, 21, start, stop) == (Counter(), 0)
+
+    def test_step_bound_zero_and_negative(self):
+        assert enumerate_range(2, 0, 0, machine_count(2)) == (Counter(), 0)
+        with pytest.raises(ValueError):
+            enumerate_range(2, -1, 0, 10)
 
 
 class TestEnumerate:
@@ -173,6 +222,27 @@ class TestSampled:
         a = sample_machines(4, budget=2000, seed=1)
         b = sample_machines(4, budget=2000, seed=2)
         assert a.counts != b.counts
+
+
+class TestTableBytes:
+    """The tables the kernel's counts produce, byte for byte."""
+
+    @staticmethod
+    def sha256(table, tmp_path):
+        table.save(tmp_path / "ctm.tsv")
+        return hashlib.sha256((tmp_path / "ctm.tsv").read_bytes()).hexdigest()
+
+    def test_three_state_table(self, dist3, tmp_path):
+        assert self.sha256(ctm_from_frequency(dist3), tmp_path) == (
+            "90a155bf57c262f98c2bc0c07ab6d3db171902f27bbc6cb5a4b1838e422d10a8"
+        )
+
+    def test_sampled_four_state_table(self, tmp_path):
+        # recorded before the kernel decoded through option lookup tables
+        dist = sample_machines(4, 20_000, seed=9)
+        assert self.sha256(ctm_from_frequency(dist), tmp_path) == (
+            "6d56260c310edd2d6be0ede78abb7109e6e1f1184a0487137f6adf62b918a09b"
+        )
 
 
 def test_symmetrize_counts_doubles_total():
