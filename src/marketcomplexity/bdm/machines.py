@@ -18,6 +18,15 @@ steps a batch of machines as numpy arrays. Lookup tables indexed by option
 value decode their transition tables; a tape cell's nonzero mark holds its
 bit and records a visit; halting entries lead to a shared absorbing row.
 So the step loop neither tracks visited bounds nor tests for halts.
+
+Two reductions of Soler-Toscano, Zenil, Delahaye & Gauvrit (PLoS ONE 2014)
+cut the work of the step loop, and neither can change a count. A
+machine whose entry for (state 0, blank) halts writes one bit at step 1 and
+stops: it is counted in closed form from that entry. An escapee, whose head
+has moved the same way at each of its first `states` or more steps, has
+met fresh blank tape in more states than it has, so it has entered a cycle
+of states over blank tape heading the same way and can never halt: it is
+dropped unfinished.
 `run_machine` simulates one machine and is the kernel's test reference.
 """
 
@@ -115,10 +124,13 @@ def _option_tables(states: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(write, dtype=np.uint8), np.array(move, dtype=np.int8), np.array(nxt)
 
 
-def _entry_tables(states: int, m: np.ndarray) -> tuple[np.ndarray, ...]:
+def _entry_tables(states: int, step_bound: int, m: np.ndarray) -> tuple:
     """Mark written, head move and next entry of every entry of the machines
-    `m` that have a halting entry, in rows of three per state read at the
-    mark under the head, then the absorbing row; and their first entries."""
+    `m` that have a halting entry but do not halt on their first transition,
+    in rows of three per state read at the mark under the head, then the
+    absorbing row; their first entries; and the counts of the outputs "0"
+    and "1" of the machines left out because their entry for (state 0,
+    blank) halts, which write one bit and stop at step 1 if step_bound >= 1."""
     n_entries = 3 * states
     write, move, nxt = _option_tables(states)
     v = np.empty((len(m) + 1, n_entries), dtype=np.int64)
@@ -126,40 +138,56 @@ def _entry_tables(states: int, m: np.ndarray) -> tuple[np.ndarray, ...]:
     for e in range(2 * states):
         m, r = np.divmod(m, 4 * states + 2)
         v[:-1, e + e // 2] = r  # the entry of state e // 2 reading e % 2
-        np.minimum(least, r, out=least)
+        if e:
+            np.minimum(least, r, out=least)
+        else:  # options 0 and 1 write that bit and halt
+            halts = np.bincount(r, minlength=2)[:2].tolist() if step_bound else [0, 0]
+    least[v[:-1, 0] < 2] = 2  # the first transition halts: counted, not stepped
     v[:, 2::3] = v[:, ::3]  # mark 2 reads as bit 0
     v[-1] = [-3, -2, -1] * states
     v = v.take(np.append(np.flatnonzero(least < 2), len(least)), axis=0)
     rows = np.arange(0, v.size, n_entries)
-    nxt = nxt[v].ravel()
-    nxt += rows.repeat(n_entries)
+    nxt = nxt[v]
+    nxt += rows[:, None]
     np.minimum(nxt, rows[-1], out=nxt)
-    return write[v].ravel(), move[v].ravel(), nxt, rows[:-1]
+    firsts = Counter({bit: c for bit, c in zip("01", halts) if c})
+    return write[v].ravel(), move[v].ravel(), nxt.ravel(), rows[:-1], firsts
 
 
-def _run_batch(states: int, step_bound: int, m: np.ndarray) -> np.ndarray:
+def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray, Counter]:
     """Lockstep kernel: steps the machines with the int64 indices `m` at once
-    on rows of one flat tape, and returns the rows of those that halt. A
-    halted machine idles in the absorbing row until the next compaction,
-    after steps 1, 2, 4, 8, ... and the last."""
-    write, move, nxt, cur = _entry_tables(states, m)
-    absorb, width = len(nxt) - 3 * states, 2 * step_bound + 3
+    on rows of one flat tape. Returns the tape rows of those that halt after
+    step 1, and the output counts of those that halt at step 1, which
+    `_entry_tables` counts without a step.
+
+    A halted machine idles in the absorbing row until the next compaction,
+    after steps 2, 4, 8, ... and the last (none halts at step 1). The first
+    compaction at or after step `states` also drops the escapees: a machine
+    whose head has moved `step` cells one way has read fresh blank tape in
+    `step + 1 > states` states, so it repeats one and cycles over blank tape
+    for ever. One that has moved `step` cells one way at a later compaction
+    had done so at this one too, so one check finds them all."""
+    write, move, nxt, cur, firsts = _entry_tables(states, step_bound, m)
+    absorb, width, start = len(nxt) - 3 * states, 2 * step_bound + 3, step_bound + 1
+    escape = 1 << (max(states, 2) - 1).bit_length()  # the first compaction >= states
     tape = np.zeros(len(cur) * width, dtype=np.uint8)
-    pos = np.arange(step_bound + 1, len(tape), width)
+    pos = np.arange(start, len(tape), width)
     done, reach = [pos[:0]], 1
     for step in range(1, step_bound + 1):
         e = cur + tape[pos]
         tape[pos] = write[e]
         pos += move[e]
         cur = nxt[e]
-        if step & (step - 1) == 0 or step == step_bound:
-            h = cur == absorb
-            done.append(pos[h])
-            pos, cur = pos[~h], cur[~h]
+        if step == step_bound or step > 1 and step & (step - 1) == 0:
+            live = cur != absorb
+            done.append(pos[~live])
+            if step == escape:
+                live &= np.abs(pos % width - start) != step
+            pos, cur = pos[live], cur[live]
             reach = step if len(done[-1]) else reach
     # a machine halted by step `reach` visited only the start cell +- (reach - 1)
     halted = np.concatenate(done) // width
-    return tape.reshape(-1, width)[halted, step_bound + 2 - reach : step_bound + 1 + reach]
+    return tape.reshape(-1, width)[halted, start + 1 - reach : start + reach], firsts
 
 
 _MARK_BITS = bytes.maketrans(b"\x01\x02", b"10")
@@ -179,7 +207,11 @@ def _region_counts(rows: np.ndarray) -> tuple[Counter, int]:
 def enumerate_range(
     states: int, step_bound: int, start: int, stop: int
 ) -> tuple[Counter, int]:
-    """Halting-output counts over machine indices [start, stop)."""
+    """Halting-output counts over machine indices [start, stop), equal to
+    those of running every machine for up to `step_bound` steps with
+    `run_machine`: the machines that halt on their first transition are
+    counted without a step, and escapees are dropped because they never
+    halt (see `_run_batch`)."""
     if start < 0 or stop > machine_count(states) or start > stop:
         raise ValueError("invalid machine index range")
     if step_bound < 0:
@@ -195,9 +227,11 @@ def _run_batches(states: int, step_bound: int, batches) -> tuple[Counter, int]:
     counts: Counter = Counter()
     halting = 0
     for m in batches:
-        c, h = _region_counts(_run_batch(states, step_bound, m))
+        rows, firsts = _run_batch(states, step_bound, m)
+        c, h = _region_counts(rows)
         counts.update(c)
-        halting += h
+        counts.update(firsts)
+        halting += h + firsts.total()
     return counts, halting
 
 

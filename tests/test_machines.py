@@ -53,15 +53,13 @@ class TestRunMachine:
         assert outs and all(o in ("0", "1") for o in outs)
 
 
+def reference_on(states, step_bound, idx):
+    outs = [run_machine(int(i), states, step_bound) for i in idx]
+    return Counter(o for o in outs if o is not None), sum(o is not None for o in outs)
+
+
 def reference_range(states, step_bound, start, stop):
-    counts = Counter()
-    halting = 0
-    for i in range(start, stop):
-        out = run_machine(i, states, step_bound)
-        if out is not None:
-            counts[out] += 1
-            halting += 1
-    return counts, halting
+    return reference_on(states, step_bound, range(start, stop))
 
 
 THREE = machine_count(3)
@@ -161,6 +159,116 @@ class TestKernelAgainstReference:
         assert enumerate_range(2, 0, 0, machine_count(2)) == (Counter(), 0)
         with pytest.raises(ValueError):
             enumerate_range(2, -1, 0, 10)
+
+
+def option(write, right, state):
+    """The working option that writes `write`, moves right if `right` (else
+    left) and goes to `state`; options 0 and 1 write that bit and halt."""
+    return 2 + (write | right << 1 | state << 2)
+
+
+def index_of(states, entries):
+    """Machine index of the table whose entry for (state s, read b) is
+    `entries[2 * s + b]`."""
+    return sum(int(v) * (4 * states + 2) ** e for e, v in enumerate(entries))
+
+
+def kernel_on(states, step_bound, idx):
+    return machines._run_batches(states, step_bound, [np.array(idx, dtype=np.int64)])
+
+
+class TestReductions:
+    """Machines that halt on their first transition are counted without
+    being stepped, and escapees (heading one way over blank tape in a cycle
+    of states) are dropped once they have moved `states` cells one way. The
+    kernel must still agree with `run_machine` machine by machine."""
+
+    @pytest.mark.parametrize(
+        "states, cycle, right",
+        [(3, [0, 1, 2], 1), (3, [0, 2, 1], 0), (3, [0, 1], 1), (3, [0], 0),
+         (4, [0, 3, 1, 2], 0), (4, [0, 1, 2, 3], 1), (4, [0, 2], 1)],
+    )
+    def test_escapees_never_halt(self, states, cycle, right):
+        # the blank entries of the cycle's states move one way round the
+        # cycle; every other entry is random, with one read-1 entry halting
+        # so that the machine is stepped. A kernel that recorded the
+        # escapees it drops as halted would count them here.
+        rng = np.random.default_rng(len(cycle) + 10 * states + right)
+        idx = []
+        for _ in range(50):
+            v = rng.integers(0, 4 * states + 2, 2 * states)
+            v[2 * int(rng.integers(states)) + 1] = rng.integers(2)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                v[2 * a] = option(int(rng.integers(2)), right, b)
+            idx.append(index_of(states, v))
+        bound = KNOWN_STEP_BOUNDS[states]
+        assert all(run_machine(i, states, bound) is None for i in idx)
+        assert kernel_on(states, bound, idx) == (Counter(), 0)
+        # among other machines, the escapees still change nothing
+        mixed = idx + list(range(10**6, 10**6 + 300))
+        assert kernel_on(states, bound, mixed) == reference_on(states, bound, mixed)
+
+    @pytest.mark.parametrize("states", [3, 4])
+    def test_near_escapees(self, states):
+        # one way over blank tape through states - 1 transitions, then the
+        # next blank entry halts, turns back onto the last written cell and
+        # halts there, or turns back and goes on at random. A kernel that
+        # dropped escapees one compaction too early (at step 2) would lose
+        # the machines that halt at steps `states` and `states + 1`.
+        rng = np.random.default_rng(states)
+        idx = []
+        for kind in range(300):
+            order = [0] + [int(s) for s in rng.permutation(range(1, states))]
+            right = int(rng.integers(2))
+            v = rng.integers(0, 4 * states + 2, 2 * states)
+            bits = [int(b) for b in rng.integers(0, 2, states)]
+            if kind % 3 == 1:  # halts on the 1 written at step states - 1
+                bits[-2] = 1
+            for a, b, bit in zip(order, order[1:], bits):
+                v[2 * a] = option(bit, right, b)
+            turn_to = int(rng.integers(states))
+            v[2 * order[-1]] = bits[-1] if kind % 3 == 0 else option(bits[-1], 1 - right, turn_to)
+            if kind % 3 == 1:
+                v[2 * turn_to + 1] = rng.integers(2)
+            idx.append(index_of(states, v))
+        halted = []
+        for bound in (states - 1, states, states + 1, KNOWN_STEP_BOUNDS[states]):
+            got = kernel_on(states, bound, idx)
+            assert got == reference_on(states, bound, idx)
+            halted.append(got[1])
+        # none halts before step `states`; some halt at it and some just after
+        assert halted[0] == 0 < halted[1] < halted[2]
+
+    @pytest.mark.parametrize("states", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    def test_first_transition_halters_only(self, states, bound):
+        # index arrays whose every machine halts on its first transition
+        # (first digit 0 or 1), so no machine is left to step: a kernel that
+        # skipped a batch with nothing to step, or counted at step bound 0,
+        # would get these wrong
+        base = 4 * states + 2
+        rng = np.random.default_rng(bound)
+        high = rng.integers(0, machine_count(states) // base, 200) * base
+        for idx in (high + rng.integers(0, 2, 200), high, high + 1, high[:1] + 1):
+            got = kernel_on(states, bound, idx)
+            assert got == reference_on(states, bound, idx)
+            assert got[1] == (len(idx) if bound else 0)
+
+    @pytest.mark.parametrize("states, bound", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 6), (3, 21)])
+    def test_every_count_is_positive(self, states, bound):
+        # `Counter ==` ignores zero counts, but a shard checkpoint writes
+        # every count it is given: a kernel that counted the closed-form
+        # outputs "0" and "1" even when no machine produced them would write
+        # "0\t0" lines
+        total = machine_count(states)
+        for a, b in [(0, min(total, 3000)), (2, 6), (0, 1), (1, 2), (total - 1, total)]:
+            counts, halting = enumerate_range(states, bound, a, b)
+            assert all(c > 0 for c in counts.values())
+            assert sum(counts.values()) == halting
+        ones = np.arange(1, min(total, 1400), 4 * states + 2)  # all write 1 and halt
+        counts, _ = kernel_on(states, bound, ones)
+        assert all(c > 0 for c in counts.values())
+        assert all(c > 0 for c in sample_machines(states, 500, seed=bound).counts.values())
 
 
 class TestEnumerate:
