@@ -12,7 +12,7 @@ import numpy as np
 from .align import align
 from .errors import DegenerateSeriesError, MarketComplexityError
 from .ingest import PriceSeries
-from .returns import ReturnStatistics
+from .returns import HistogramSpec
 
 # column order of the metric report export
 METRIC_COLUMNS = [
@@ -41,8 +41,8 @@ class MarketMetrics:
     kind: str
     values: dict[str, float] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
-    # the moments of the windowed log returns, when they could be computed
-    stats: ReturnStatistics | None = field(default=None, repr=False, compare=False)
+    # the return histogram of the window, when it could be built
+    histogram: HistogramSpec | None = field(default=None, repr=False, compare=False)
 
     def cell(self, metric: str) -> str:
         if metric in self.values:
@@ -78,7 +78,6 @@ def compute_market_metrics(
     bdm_d: int = 4,
     bdm_overlap: int | None = None,
     hw_L: int = 2,
-    log_returns: np.ndarray | None = None,
 ) -> MarketMetrics:
     """Every metric for one market, with per-metric failure isolation.
 
@@ -86,8 +85,9 @@ def compute_market_metrics(
     the window left too little data); the full history feeds only the
     full-history roughness column. Each group of columns comes from one
     call: if it raises, every column of the group fails with its reason; a
-    NaN or infinite value fails only its own column. Pass `log_returns` when
-    the caller has those of `windowed` already.
+    NaN or infinite value fails only its own column. The return histogram
+    of the window is one more group, with no column: it is kept as
+    `histogram`, or fails under the key `histogram`.
     """
     from . import encode, entropy, fractal, lzw, returns
     from .bdm import bdm as bdm_fn
@@ -99,12 +99,18 @@ def compute_market_metrics(
     ]
     if windowed is not None:
         moves = encode.binarize(windowed)
-        if log_returns is None:
-            log_returns = returns.log_returns(windowed)
+        log_returns = returns.log_returns(windowed)
+        stats = None
 
         def moments():
-            m.stats = st = returns.moments(log_returns)
-            return st.mean, st.std_dev, st.kurtosis, st.skewness
+            nonlocal stats
+            stats = returns.moments(log_returns)
+            return stats.mean, stats.std_dev, stats.kurtosis, stats.skewness
+
+        def histogram():
+            # with no moments, `build_histogram` fails for their reason
+            m.histogram = returns.build_histogram(log_returns, stats)
+            return ()
 
         def blockent():
             r = entropy.block_entropy(moves, max_block=max_block)
@@ -117,6 +123,7 @@ def compute_market_metrics(
         groups += [
             (("n_window",), lambda: (len(windowed),)),
             (("mean_log_return", "std_log_return", "kurtosis", "skewness"), moments),
+            (("histogram",), histogram),
             (("block_entropy_bits", "block_entropy_normalized"), blockent),
             (
                 ("compressibility_binary",),

@@ -33,6 +33,7 @@ dropped unfinished.
 from __future__ import annotations
 
 import functools
+import json
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -304,37 +305,25 @@ def _shard_path(out: Path, i: int, shards: int) -> Path:
 def _checkpointed_range(
     path: Path, resume: bool, states: int, step_bound: int, start: int, stop: int
 ) -> tuple[dict[str, int], int]:
-    """`enumerate_range` through the shard checkpoint file at `path`."""
+    """`enumerate_range` through the shard checkpoint file at `path`: one
+    JSON object of the range's parameters, its halting total and its
+    counts."""
     meta = {"states": states, "step_bound": step_bound, "start": start, "stop": stop}
     if resume and path.exists():
-        saved, counts, halting = _read_shard(path)
-        if any(saved.get(k) != str(v) for k, v in meta.items()):
+        try:
+            saved = json.loads(path.read_text(encoding="utf-8"))
+            counts, halting = saved["counts"], saved["halting"]
+            whole = all(type(c) is int for c in [halting, *counts.values()])
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
+            whole = False
+        if not whole:
+            raise ConfigError(f"unreadable shard checkpoint {path}")
+        if any(saved.get(k) != v for k, v in meta.items()):
             raise ConfigError(f"stale shard checkpoint {path}")
         return counts, halting
     counts, halting = enumerate_range(states, step_bound, start, stop)
-    _write_shard(path, {**meta, "halting": halting}, counts)
+    path.write_text(json.dumps({**meta, "halting": halting, "counts": counts}), encoding="utf-8")
     return counts, halting
-
-
-def _write_shard(path: Path, meta: dict, counts) -> None:
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items())]
-    for s in sorted(counts, key=lambda x: (len(x), x)):
-        lines.append(f"{s}\t{counts[s]}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _read_shard(path: Path) -> tuple[dict[str, str], dict[str, int], int]:
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-        meta = dict(tok.split("=", 1) for tok in lines[0][2:].split())
-        counts = {}
-        for line in lines[1:]:
-            if line.strip():
-                s, c = line.split("\t")
-                counts[s] = int(c)
-        return meta, counts, int(meta["halting"])
-    except (IndexError, KeyError, ValueError):
-        raise ConfigError(f"unreadable shard checkpoint {path}") from None
 
 
 def sample_machines(states: int, budget: int, seed: int = 0) -> OutputDistribution:

@@ -169,26 +169,19 @@ def cmd_report(args) -> int:
     failures = []
     for id, kind, _ in cfg.markets:
         full = series[id]
-        windowed = full.window(cfg.window_start, cfg.window_end)
-        logret = None if windowed is None else returns_mod.log_returns(windowed)
         m = compute_market_metrics(
             full,
-            windowed,
+            full.window(cfg.window_start, cfg.window_end),
             table,
             max_block=cfg.max_block,
             bdm_d=cfg.bdm_d,
             bdm_overlap=cfg.bdm_overlap,
             hw_L=cfg.fractal_L,
-            log_returns=logret,
         )
-        if logret is not None:
-            try:
-                hist = returns_mod.build_histogram(logret, m.stats)
-                (outdir / f"{id}_hist.csv").write_text(
-                    header + hist.to_csv(), encoding="utf-8"
-                )
-            except MarketComplexityError as exc:
-                m.failures.setdefault("histogram", str(exc))
+        if m.histogram is not None:
+            (outdir / f"{id}_hist.csv").write_text(
+                header + m.histogram.to_csv(), encoding="utf-8"
+            )
         rows.append(m)
         failures.extend((id, name, reason) for name, reason in sorted(m.failures.items()))
     report = MetricReport(rows)
@@ -231,8 +224,8 @@ def cmd_report(args) -> int:
 def cmd_ctm_gen(args) -> int:
     check_d_max(args.d_max)  # before a run that can take minutes
     states = args.states
-    if states == 4 or args.budget:
-        if not args.budget:
+    if states == 4 or args.budget is not None:
+        if args.budget is None:
             raise ConfigError("states=4 requires --budget (sampled mode)")
         dist = sample_machines(states, args.budget, seed=args.seed)
     elif states not in (1, 2, 3):

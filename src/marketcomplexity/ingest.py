@@ -23,14 +23,12 @@ _DMY_RE = re.compile(r"^(\d{2})/(\d{2})/(\d{4})$")
 
 _US = timedelta(microseconds=1)
 DAY_US = 86_400_000_000
-_EPOCH_ORDINAL = EPOCH.toordinal()
 
 # the bulk pass: where a raw `YYYY-MM-DD,` head has its separators and its
-# digits, and the length of month m of a common year and the days before it
+# digits, and the epoch's day on numpy's calendar
 _SEPARATORS = np.frombuffer(b"--,", dtype=np.uint8)
 _DIGIT_COLUMNS = [0, 1, 2, 3, 5, 6, 8, 9]
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_MONTH_START = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+_EPOCH_DAY = np.datetime64("1900-01-01", "D")
 
 
 def to_absolute_time(d: datetime | date) -> float:
@@ -188,8 +186,10 @@ def format_prices(prices: np.ndarray) -> list[str]:
 def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
     """Parse `date,price` lines into a validated PriceSeries.
 
-    A single header line is tolerated. Duplicate calendar days are rejected
-    rather than averaged, and so are dates before the 1900 epoch.
+    Line 1 is skipped as a header when neither of its fields parses (as
+    in `date,price`); a line 1 with one bad field is an error. Duplicate
+    calendar days are rejected rather than averaged, and so are dates
+    before the 1900 epoch.
 
     A file made only of raw `YYYY-MM-DD,<price>` lines, with strictly
     increasing days on or after the epoch and positive finite prices, is
@@ -215,8 +215,8 @@ def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise CsvParseError(f"expected 2 columns, got {len(parts)}", line=lineno)
-        if lineno == 1 and not _looks_like_record(parts):
-            continue  # header
+        if lineno == 1 and not (_parses(parse_date, parts[0]) or _parses(float, parts[1])):
+            continue  # a header: neither field parses
         try:
             ts = parse_date(parts[0])
         except ValueError as exc:
@@ -260,21 +260,14 @@ def _parse_iso_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     if len(heads) != 11 * len(lines):
         return None
     chars = np.frombuffer(heads, dtype=np.uint8).reshape(-1, 11)
-    digits = chars[:, _DIGIT_COLUMNS].astype(np.int64) - ord("0")
-    if (chars[:, [4, 7, 10]] != _SEPARATORS).any() or ((digits < 0) | (digits > 9)).any():
+    digits = chars[:, _DIGIT_COLUMNS] - ord("0")  # uint8: a byte below "0" wraps past 9
+    if (chars[:, [4, 7, 10]] != _SEPARATORS).any() or (digits > 9).any():
         return None
-    d = digits.T
-    year = d[0] * 1000 + d[1] * 100 + d[2] * 10 + d[3]
-    month = d[4] * 10 + d[5]
-    day = d[6] * 10 + d[7]
-    if not ((month >= 1) & (month <= 12)).all():
+    try:  # numpy's proleptic Gregorian calendar refuses an impossible month or day
+        dates = chars[:, :10].view("S10").ravel().astype("datetime64[D]")
+    except ValueError:
         return None
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    if not ((day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))).all():
-        return None
-    y = year - 1  # the ordinal `date.toordinal` gives, less the epoch's
-    days = y * 365 + y // 4 - y // 100 + y // 400 + _MONTH_START[month] + day
-    days += (leap & (month > 2)) - _EPOCH_ORDINAL
+    days = (dates - _EPOCH_DAY).astype(np.int64)
     if days[0] < 0 or not (np.diff(days) > 0).all():
         return None
     try:  # last, so that a file with other heads never pays for it
@@ -286,13 +279,12 @@ def _parse_iso_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     return days * DAY_US, prices
 
 
-def _looks_like_record(parts: list[str]) -> bool:
+def _parses(parse, text: str) -> bool:
     try:
-        parse_date(parts[0])
-        float(parts[1])
-        return True
+        parse(text)
     except ValueError:
         return False
+    return True
 
 
 def serialize_csv(series: PriceSeries) -> str:

@@ -45,22 +45,15 @@ def fbm(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(noise)))
 
 
-def path_to_series(
-    path: np.ndarray,
-    id: str,
-    kind: str,
-    start: datetime | None = None,
-    scale: float = 0.05,
-) -> PriceSeries:
-    """Wrap a real-valued path as a positive daily-close price series via
-    exponentiation of the standardized path."""
-    if start is None:
-        start = datetime(2012, 7, 13, tzinfo=timezone.utc)
+def path_to_series(path: np.ndarray, id: str, kind: str, scale: float = 0.05) -> PriceSeries:
+    """Wrap a real-valued path as a positive daily-close price series from
+    2012-07-13 via exponentiation of the standardized path."""
     spread = np.std(path)
     if spread == 0:
         spread = 1.0
     prices = 100.0 * np.exp(scale * path / spread)
-    times = epoch_us(start) + DAY_US * np.arange(len(prices), dtype=np.int64)
+    start = epoch_us(datetime(2012, 7, 13, tzinfo=timezone.utc))
+    times = start + DAY_US * np.arange(len(prices), dtype=np.int64)
     return PriceSeries(id=id, kind=kind, times=times, prices=prices)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -13,7 +14,6 @@ from marketcomplexity import __version__
 from marketcomplexity.bdm import CtmTable
 from marketcomplexity.bdm.machines import (
     _shard_path,
-    _write_shard,
     enumerate_range,
     shard_ranges,
 )
@@ -239,17 +239,15 @@ class TestCtmGen:
         out = tmp_path / "resumed.tsv"
         start, stop = shard_ranges(2, 4)[0]
         counts, halting = enumerate_range(2, default_step_bound(2), start, stop)
-        _write_shard(
-            _shard_path(out, 0, 4),
-            {
-                "states": 2,
-                "step_bound": default_step_bound(2),
-                "start": start,
-                "stop": stop,
-                "halting": halting,
-            },
-            dict(counts),
-        )
+        shard = {
+            "states": 2,
+            "step_bound": default_step_bound(2),
+            "start": start,
+            "stop": stop,
+            "halting": halting,
+            "counts": counts,
+        }
+        _shard_path(out, 0, 4).write_text(json.dumps(shard), encoding="utf-8")
         rc = main(
             ["ctm-gen", "--states", "2", "--out", str(out), "--shards", "4", "--resume"]
         )
@@ -290,24 +288,35 @@ class TestCtmGen:
 
     def test_stale_checkpoint_rejected(self, tmp_path, capsys):
         out = tmp_path / "ctm.tsv"
-        _write_shard(
-            _shard_path(out, 0, 4),
-            {"states": 2, "step_bound": 6, "start": 7, "stop": 9, "halting": 1},
-            {"0": 1},
+        shard = {"states": 2, "step_bound": 6, "start": 7, "stop": 9, "halting": 1}
+        _shard_path(out, 0, 4).write_text(
+            json.dumps({**shard, "counts": {"0": 1}}), encoding="utf-8"
         )
         rc = main(
             ["ctm-gen", "--states", "2", "--out", str(out), "--shards", "4", "--resume"]
         )
         assert rc == 2
+        assert "stale shard checkpoint" in capsys.readouterr().err
 
     def test_unreadable_checkpoint_rejected(self, tmp_path, capsys):
         out = tmp_path / "ctm.tsv"
-        _shard_path(out, 0, 4).write_text("# states=2 halting=x\n0\t1\n", encoding="utf-8")
-        rc = main(
-            ["ctm-gen", "--states", "2", "--out", str(out), "--shards", "4", "--resume"]
-        )
-        assert rc == 2
-        assert "unreadable shard checkpoint" in capsys.readouterr().err
+        argv = ["ctm-gen", "--states", "2", "--out", str(out), "--shards", "4", "--resume"]
+        for text in [
+            "# states=2 halting=x\n0\t1\n",
+            # a checkpoint left in the earlier tab-separated format
+            "# states=2 step_bound=6 start=0 stop=2500 halting=1\n0\t1\n",
+            '{"states": 2, "halting": 1, "counts": {"0": "1"}}',
+            '{"states": 2, "halting": 1, "counts": {"0": 1.0}}',
+            '{"states": 2, "halting": true, "counts": {"0": 1}}',
+            '{"states": 2, "halting": 1, "counts": [1]}',
+            '{"states": 2, "counts": {"0": 1}}',
+            "[1]",
+            "[" * 10**5,
+            "",
+        ]:
+            _shard_path(out, 0, 4).write_text(text, encoding="utf-8")
+            assert main(argv) == 2, text
+            assert "unreadable shard checkpoint" in capsys.readouterr().err, text
 
     def test_states4_requires_budget(self, tmp_path, capsys):
         assert main(["ctm-gen", "--states", "4", "--out", str(tmp_path / "x")]) == 2

@@ -123,8 +123,22 @@ class TestParseCsv:
             parse_csv(b"2013-04-09,1\n2013-04-09,2", "X", "stock index")
 
     def test_header_tolerated(self):
-        s = parse_csv(b"date,price\n2013-04-09,1\n2013-04-10,2", "X", "stock index")
-        assert len(s) == 2
+        for header in ("date,price", "date,close"):
+            s = parse_csv(f"{header}\n2013-04-09,1\n2013-04-10,2", "X", "stock index")
+            assert len(s) == 2
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2013-13-01,5", "unrecognized date '2013-13-01'"),
+            ("2013-01-01,5x", "invalid price '5x'"),
+        ],
+    )
+    def test_first_row_with_one_bad_field_is_not_a_header(self, row, message):
+        # only a line 1 where neither field parses is skipped as a header
+        with pytest.raises(CsvParseError, match=message) as exc:
+            parse_csv(f"{row}\n2013-01-02,6\n2013-01-03,7\n", "X", "stock index")
+        assert exc.value.line == 1
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(CsvParseError, match="line 2"):

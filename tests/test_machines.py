@@ -208,6 +208,33 @@ class TestReductions:
         mixed = idx + list(range(10**6, 10**6 + 300))
         assert kernel_on(states, bound, mixed) == reference_on(states, bound, mixed)
 
+    @pytest.mark.parametrize("right", [1, 0])
+    def test_escapees_stop_stepping_at_the_escape_compaction(self, monkeypatch, right):
+        # 2-state machines that write 1 and move one way over blank tape in
+        # the cycle 0 -> 1 -> 0 and halt only on reading a 1 (1509 and 1307
+        # among them): each is stepped twice, up to the step-2 compaction,
+        # and then dropped instead of running all 6 steps. The count is of
+        # lookups in the `write` table, one per stepping machine and step.
+        idx = [index_of(2, [option(1, right, 1), 0, option(1, right, 0), k]) for k in range(10)]
+        assert (1509 if right else 1307) in idx
+        assert all(run_machine(i, 2, 6) is None for i in idx)
+        steps = []
+
+        class Counting(np.ndarray):
+            def __getitem__(self, key):
+                steps.append(np.size(key))
+                return self.view(np.ndarray)[key]
+
+        real = machines._entry_tables
+
+        def counting(*args):
+            write, *rest = real(*args)
+            return (write.view(Counting), *rest)
+
+        monkeypatch.setattr(machines, "_entry_tables", counting)
+        assert kernel_on(2, 6, idx) == (Counter(), 0)
+        assert sum(steps) == 2 * len(idx)
+
     @pytest.mark.parametrize("states", [3, 4])
     def test_near_escapees(self, states):
         # one way over blank tape through states - 1 transitions, then the

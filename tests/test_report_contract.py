@@ -401,6 +401,17 @@ def test_ctm_gen_sampled_states_out_of_range_exit_2(tmp_path, capsys, states):
     assert "states must be in 1..4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("states", ["1", "2", "3", "4"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_ctm_gen_budget_not_positive_exit_2(tmp_path, capsys, states, budget):
+    # a budget of 0 is a sampled run of no machines, not an exhaustive run
+    out = tmp_path / "t.tsv"
+    argv = ["ctm-gen", "--states", states, "--budget", budget, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: budget must be positive\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("d_max", ["0", "-1", "17", "99", str(2**70)])
 def test_ctm_gen_d_max_out_of_range_exit_2(tmp_path, capsys, d_max):
     out = tmp_path / "t.tsv"
