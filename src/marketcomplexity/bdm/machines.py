@@ -129,15 +129,22 @@ def _entry_tables(states: int, step_bound: int, m: np.ndarray) -> tuple:
     """Mark written, head move and next entry of every entry of the machines
     `m` that have a halting entry but do not halt on their first transition,
     in rows of three per state read at the mark under the head, then the
-    absorbing row; their first entries; and the counts of the outputs "0"
-    and "1" of the machines left out because their entry for (state 0,
-    blank) halts, which write one bit and stop at step 1 if step_bound >= 1."""
+    absorbing row; their first entries; and the numbers of machines with
+    the outputs "0" and "1" among those left out because their entry for
+    (state 0, blank) halts, as two ints: they write one bit and stop at
+    step 1 if step_bound >= 1."""
     n_entries = 3 * states
     write, move, nxt = _option_tables(states)
     v = np.empty((len(m) + 1, n_entries), dtype=np.int64)
     least = np.full(len(m), 2)  # least option value; below 2 means a halting entry
+    base = 4 * states + 2
     for e in range(2 * states):
-        m, r = np.divmod(m, 4 * states + 2)
+        # floor division by a scalar has a faster path than np.divmod; the
+        # in-place subtraction keeps the new arrays per digit at two, as there
+        q = m // base
+        r = q * base
+        np.subtract(m, r, out=r)
+        m = q
         v[:-1, e + e // 2] = r  # the entry of state e // 2 reading e % 2
         if e:
             np.minimum(least, r, out=least)
@@ -151,15 +158,14 @@ def _entry_tables(states: int, step_bound: int, m: np.ndarray) -> tuple:
     nxt = nxt[v]
     nxt += rows[:, None]
     np.minimum(nxt, rows[-1], out=nxt)
-    firsts = Counter({bit: c for bit, c in zip("01", halts) if c})
-    return write[v].ravel(), move[v].ravel(), nxt.ravel(), rows[:-1], firsts
+    return write[v].ravel(), move[v].ravel(), nxt.ravel(), rows[:-1], halts
 
 
-def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray, Counter]:
+def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Lockstep kernel: steps the machines with the int64 indices `m` at once
     on rows of one flat tape. Returns the tape rows of those that halt after
-    step 1, and the output counts of those that halt at step 1, which
-    `_entry_tables` counts without a step.
+    step 1, and the numbers of those with the outputs "0" and "1" that halt
+    at step 1, which `_entry_tables` counts without a step.
 
     A halted machine idles in the absorbing row until the next compaction,
     after steps 2, 4, 8, ... and the last (none halts at step 1). The first
@@ -168,7 +174,7 @@ def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray,
     `step + 1 > states` states, so it repeats one and cycles over blank tape
     for ever. One that has moved `step` cells one way at a later compaction
     had done so at this one too, so one check finds them all."""
-    write, move, nxt, cur, firsts = _entry_tables(states, step_bound, m)
+    write, move, nxt, cur, halts = _entry_tables(states, step_bound, m)
     absorb, width, start = len(nxt) - 3 * states, 2 * step_bound + 3, step_bound + 1
     escape = 1 << (max(states, 2) - 1).bit_length()  # the first compaction >= states
     tape = np.zeros(len(cur) * width, dtype=np.uint8)
@@ -188,21 +194,20 @@ def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray,
             reach = step if len(done[-1]) else reach
     # a machine halted by step `reach` visited only the start cell +- (reach - 1)
     halted = np.concatenate(done) // width
-    return tape.reshape(-1, width)[halted, start + 1 - reach : start + reach], firsts
+    return tape.reshape(-1, width)[halted, start + 1 - reach : start + reach], halts
 
 
 _MARK_BITS = bytes.maketrans(b"\x01\x02", b"10")
 
 
-def _region_counts(rows: np.ndarray) -> tuple[Counter, int]:
-    """Counts of the outputs on the tape rows `rows`, and their number. A
-    row's output is its run of visited cells, marked 1 for bit 1 and 2 for
-    bit 0."""
+def _region_counts(rows: np.ndarray, out: Counter) -> int:
+    """Adds the outputs on the tape rows `rows` into the counts `out` and
+    returns their number. A row's output is its run of visited cells,
+    marked 1 for bit 1 and 2 for bit 0."""
     keys = Counter(rows.view(f"S{rows.shape[1]}").ravel().tolist())
-    out: Counter = Counter()
     for k, c in keys.items():
         out[k.translate(_MARK_BITS, b"\0").decode()] += c
-    return out, len(rows)
+    return len(rows)
 
 
 def enumerate_range(
@@ -228,11 +233,11 @@ def _run_batches(states: int, step_bound: int, batches) -> tuple[Counter, int]:
     counts: Counter = Counter()
     halting = 0
     for m in batches:
-        rows, firsts = _run_batch(states, step_bound, m)
-        c, h = _region_counts(rows)
-        counts.update(c)
-        counts.update(firsts)
-        halting += h + firsts.total()
+        rows, halts = _run_batch(states, step_bound, m)
+        halting += _region_counts(rows, counts) + sum(halts)
+        for bit, c in zip("01", halts):
+            if c:
+                counts[bit] += c
     return counts, halting
 
 

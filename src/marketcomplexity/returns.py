@@ -126,8 +126,8 @@ def _fd_bin_count(x: np.ndarray) -> int:
     """The bin count numpy's `bins="fd"` gives the finite, non-constant
     sample x, refused above MAX_HISTOGRAM_BINS: a jump beside a near-zero
     spread would otherwise ask for terabytes of bins."""
-    iqr = np.subtract(*np.percentile(x, [75, 25]))
-    width = 2.0 * iqr * x.size ** (-1.0 / 3.0)
+    q75, q25 = _quartiles(x)
+    width = 2.0 * (q75 - q25) * x.size ** (-1.0 / 3.0)
     if not width:
         return 1
     bins = np.ceil((x.max() - x.min()) / width)
@@ -137,6 +137,19 @@ def _fd_bin_count(x: np.ndarray) -> int:
             f"more than the limit of {MAX_HISTOGRAM_BINS}"
         )
     return int(bins)
+
+
+def _quartiles(x: np.ndarray) -> list:
+    """`np.percentile(x, [75, 25])` of a sample of two or more values, by
+    numpy's linear rule. `np.percentile` itself would import `numpy.ma`
+    (through `np.unique`), which `report` otherwise never needs."""
+    at = [divmod((x.size - 1) * k, 4) for k in (3, 1)]  # lower index and 4 * weight
+    part = np.partition(x, [i + d for i, _ in at for d in (0, 1)])
+    out = []
+    for i, k in at:
+        a, b, t = part[i], part[i + 1], k / 4
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
 
 
 # Cephes ndtr.c: polynomial coefficients, highest order first.

@@ -198,6 +198,17 @@ class TestImportCost:
         assert self.run_python(code).split("\n")[:2] == ["[]", "0 []"]
         assert (tmp_path / "out" / "ALPHA_hist.csv").exists()
 
+    def test_report_skips_numpy_ma(self, tmp_path):
+        # np.percentile would load numpy.ma (about 14 ms) for the histogram
+        cfg = TestReportCommand().good_config(tmp_path)
+        code = (
+            "import sys; from marketcomplexity.cli import main; "
+            f"rc = main(['report', '--config', {str(cfg)!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)"
+        )
+        assert self.run_python(code).split("\n")[0] == "0 False"
+        assert (tmp_path / "out" / "BETA_hist.csv").exists()
+
     def test_group_markets_still_clusters(self):
         # scipy.cluster is imported on the first call, after the CLI
         code = (

@@ -108,12 +108,19 @@ class TestKernelAgainstReference:
         for i, s in enumerate(outs + [outs[0]]):
             at = 1 + i % 7
             rows[i, at : at + len(s)] = [2 - int(b) for b in s]
-        expected = Counter(outs + [outs[0]])
-        assert _region_counts(rows) == (expected, len(outs) + 1)
-        # leading zeros are kept: "0", "00" and "000" are distinct strings
+        counts = Counter()
+        assert _region_counts(rows, counts) == len(outs) + 1
+        assert counts == Counter(outs + [outs[0]])
+        # leading zeros are kept: "0", "00" and "000" are distinct strings;
+        # the counts are added to those already there
         zeros = np.array([[2, 0, 0, 0], [2, 2, 0, 0], [0, 2, 2, 0], [0, 2, 2, 2]], dtype=np.uint8)
-        assert _region_counts(zeros) == (Counter({"0": 1, "00": 2, "000": 1}), 4)
-        assert _region_counts(zeros[:0]) == (Counter(), 0)
+        counts = Counter({"00": 5, "1": 1})
+        assert _region_counts(zeros, counts) == 4
+        assert counts == Counter({"0": 1, "00": 7, "000": 1, "1": 1})
+        assert _region_counts(zeros[:0], counts) == 0
+        assert counts == Counter({"0": 1, "00": 7, "000": 1, "1": 1})
+        # the rows of step bound 0 are one cell wide, and none halts
+        assert _region_counts(np.zeros((0, 1), dtype=np.uint8), counts) == 0
 
     FOUR = machine_count(4)
 
@@ -280,6 +287,10 @@ class TestReductions:
             got = kernel_on(states, bound, idx)
             assert got == reference_on(states, bound, idx)
             assert got[1] == (len(idx) if bound else 0)
+            # `_entry_tables` hands over the counts of "0" and "1" as two ints
+            halts = machines._entry_tables(states, bound, np.array(idx, dtype=np.int64))[-1]
+            assert [type(c) for c in halts] == [int, int]
+            assert list(halts) == [got[0]["0"], got[0]["1"]]
 
     @pytest.mark.parametrize("states, bound", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 6), (3, 21)])
     def test_every_count_is_positive(self, states, bound):

@@ -13,6 +13,7 @@ from marketcomplexity.returns import (
     build_histogram,
     daily_returns,
     _fd_bin_count,
+    _quartiles,
     lognormal_reference,
     log_returns,
     moments,
@@ -234,3 +235,16 @@ def test_fd_bin_count_matches_numpy(xs, scale):
         assert (x.max() - x.min()) / width > MAX_HISTOGRAM_BINS
         return
     assert np.array_equal(np.histogram_bin_edges(x, bins=bins), np.histogram_bin_edges(x, "fd"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    # drawn from a pool of at most 30 values, so that most samples have ties
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=200)
+    ),
+    st.floats(1e-6, 1.0),
+)
+def test_quartiles_match_numpy_percentile(xs, scale):
+    x = np.asarray(xs) * scale
+    assert _quartiles(x) == np.percentile(x, [75, 25]).tolist()
