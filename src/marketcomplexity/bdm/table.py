@@ -9,6 +9,7 @@ their length, so lookups stay total and order-preserving.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import log2
 from pathlib import Path
 
@@ -42,9 +43,9 @@ class CtmTable:
     fallback: frozenset[str]
     meta: CtmMeta
 
-    @property
+    @cached_property
     def d_max(self) -> int:
-        return max(len(s) for s in self.values)
+        return max(map(len, self.values))
 
     def k(self, s: str) -> float:
         try:
@@ -58,10 +59,10 @@ class CtmTable:
         return s in self.fallback
 
     def max_k(self, length: int) -> float:
-        vals = [v for s, v in self.values.items() if len(s) == length]
-        if not vals:
+        # a table holds every string of each length up to d_max
+        if not 1 <= length <= self.d_max:
             raise KeyError(f"table has no entries of length {length}")
-        return max(vals)
+        return max(map(self.values.__getitem__, _strings(length)))
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -137,6 +138,11 @@ def _parse_header(line: str, path) -> CtmMeta:
     return meta
 
 
+def _strings(length: int) -> list[str]:
+    """Every binary string of `length` bits, in counting order."""
+    return [format(val, f"0{length}b") for val in range(1 << length)]
+
+
 def check_d_max(d_max: int | None) -> None:
     """Reject a longest table string outside 1..D_MAX_LIMIT; None lets
     `ctm_from_frequency` choose one."""
@@ -157,26 +163,15 @@ def ctm_from_frequency(dist: OutputDistribution, d_max: int | None = None) -> Ct
     fallback = set()
     global_max = 0.0
     for length in range(1, d_max + 1):
-        exact = {}
-        for val in range(1 << length):
-            s = format(val, f"0{length}b")
-            c = dist.counts.get(s, 0)
-            if c > 0:
-                exact[s] = -log2(c / dist.halting)
-        if exact:
-            base = max(exact.values())
-        else:
-            # nothing of this length was ever produced; fall back from the
-            # hardest string seen so far
-            base = global_max
+        strings = _strings(length)
+        exact = {s: -log2(dist.counts[s] / dist.halting) for s in strings if dist.counts.get(s)}
+        # when nothing of this length was ever produced, fall back from the
+        # hardest string seen so far
+        base = max(exact.values(), default=global_max)
         global_max = max(global_max, base)
-        for val in range(1 << length):
-            s = format(val, f"0{length}b")
-            if s in exact:
-                values[s] = exact[s]
-            else:
-                values[s] = base + 1.0
-                fallback.add(s)
+        for s in strings:
+            values[s] = exact.get(s, base + 1.0)
+        fallback.update(s for s in strings if s not in exact)
     meta = CtmMeta(
         states=dist.states,
         colors=2,

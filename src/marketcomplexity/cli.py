@@ -25,7 +25,8 @@ from .errors import ConfigError, MarketComplexityError
 from .ingest import KINDS, PriceSeries, parse_csv, parse_date, serialize_csv
 
 
-def _read_series(path: str, id: str | None, kind: str) -> PriceSeries:
+def _read_series(path: str, id: str = "", kind: str = "stock index") -> PriceSeries:
+    """A price file as a series named `id`, or after the file's stem."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"input file not found: {path}")
@@ -109,33 +110,31 @@ def parse_config(path: str) -> RunConfig:
     return cfg
 
 
+# the keys that repeat, each with the fields of its value
+_LIST_KEYS = {"market": ("markets", "id,kind,path"), "pair": ("pairs", "src_id,dst_id")}
+# every other key sets one RunConfig field from its parsed value
+_FIELD_KEYS = {
+    "window.start": ("window_start", parse_date),
+    "window.end": ("window_end", parse_date),
+    "entropy.max_block": ("max_block", int),
+    "bdm.d": ("bdm_d", int),
+    "bdm.overlap": ("bdm_overlap", int),
+    "bdm.table": ("bdm_table", str),
+    "fractal.L": ("fractal_L", int),
+    "output.dir": ("output_dir", str),
+}
+
+
 def _apply_config_key(cfg: RunConfig, key: str, value: str) -> None:
-    if key == "market":
-        parts = [v.strip() for v in value.split(",")]
-        if len(parts) != 3:
-            raise ConfigError("market value must be `id,kind,path`")
-        cfg.markets.append((parts[0], parts[1], parts[2]))
-    elif key == "pair":
-        parts = [v.strip() for v in value.split(",")]
-        if len(parts) != 2:
-            raise ConfigError("pair value must be `src_id,dst_id`")
-        cfg.pairs.append((parts[0], parts[1]))
-    elif key == "window.start":
-        cfg.window_start = parse_date(value)
-    elif key == "window.end":
-        cfg.window_end = parse_date(value)
-    elif key == "entropy.max_block":
-        cfg.max_block = int(value)
-    elif key == "bdm.d":
-        cfg.bdm_d = int(value)
-    elif key == "bdm.overlap":
-        cfg.bdm_overlap = int(value)
-    elif key == "bdm.table":
-        cfg.bdm_table = value
-    elif key == "fractal.L":
-        cfg.fractal_L = int(value)
-    elif key == "output.dir":
-        cfg.output_dir = value
+    if key in _LIST_KEYS:
+        name, shape = _LIST_KEYS[key]
+        parts = tuple(v.strip() for v in value.split(","))
+        if len(parts) != shape.count(",") + 1:
+            raise ConfigError(f"{key} value must be `{shape}`")
+        getattr(cfg, name).append(parts)
+    elif key in _FIELD_KEYS:
+        name, parse = _FIELD_KEYS[key]
+        setattr(cfg, name, parse(value))
     else:
         raise ConfigError(f"unknown config key {key!r}")
 
@@ -245,8 +244,7 @@ def cmd_ctm_gen(args) -> int:
     return 0
 
 
-def cmd_ingest(args) -> int:
-    s = _read_series(args.file, args.id, args.kind)
+def cmd_ingest(args, s: PriceSeries) -> int:
     text = serialize_csv(s)
     if args.out:
         Path(args.out).write_text(_file_header() + text, encoding="utf-8")
@@ -255,9 +253,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_align(args) -> int:
-    src = _read_series(args.src, args.src_id, args.src_kind)
-    dst = _read_series(args.dst, args.dst_id, args.dst_kind)
+def cmd_align(args, src: PriceSeries, dst: PriceSeries) -> int:
     anchors = align_mod.peak_anchors(src), align_mod.peak_anchors(dst)
     m = align_mod.fit_time_map(*anchors)
     pair = align_mod.align(src.sampled(), dst.sampled(), *anchors)
@@ -267,8 +263,7 @@ def cmd_align(args) -> int:
     return 0
 
 
-def cmd_returns(args) -> int:
-    s = _read_series(args.file, args.id, args.kind)
+def cmd_returns(args, s: PriceSeries) -> int:
     logret = returns_mod.log_returns(s)
     st = returns_mod.moments(logret)
     print(
@@ -281,15 +276,13 @@ def cmd_returns(args) -> int:
     return 0
 
 
-def cmd_entropy(args) -> int:
-    s = _read_series(args.file, args.id, args.kind)
+def cmd_entropy(args, s: PriceSeries) -> int:
     r = entropy_mod.block_entropy(encode.binarize(s), max_block=args.max_block)
     print(f"bits={r.bits!r} normalized={r.normalized!r} block_max={r.block_max}")
     return 0
 
 
-def cmd_compress(args) -> int:
-    s = _read_series(args.file, args.id, args.kind)
+def cmd_compress(args, s: PriceSeries) -> int:
     if args.mode == "binary":
         data = encode.binarize(s).encode("ascii")
     else:
@@ -299,8 +292,7 @@ def cmd_compress(args) -> int:
     return 0
 
 
-def cmd_bdm(args) -> int:
-    s = _read_series(args.file, args.id, args.kind)
+def cmd_bdm(args, s: PriceSeries) -> int:
     table = CtmTable.load(args.table)
     r = bdm_fn(encode.binarize(s), table, d=args.d, overlap=args.overlap)
     print(
@@ -310,17 +302,14 @@ def cmd_bdm(args) -> int:
     return 0
 
 
-def cmd_fractal(args) -> int:
-    s = _read_series(args.file, args.id, args.kind)
+def cmd_fractal(args, s: PriceSeries) -> int:
     est = fractal_mod.hall_wood(s, args.L)
     scales = f" L={est.L}" if est.L else ""
     print(f"dimension={est.value!r} raw={est.raw!r}{scales}")
     return 0
 
 
-def cmd_correlate(args) -> int:
-    src = _read_series(args.src, args.src_id, args.src_kind)
-    dst = _read_series(args.dst, args.dst_id, args.dst_kind)
+def cmd_correlate(args, src: PriceSeries, dst: PriceSeries) -> int:
     value = correlate_markets(
         src,
         dst,
@@ -336,15 +325,6 @@ def cmd_correlate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_series_args(p, prefix: str = ""):
-    dash = f"--{prefix}-" if prefix else "--"
-    under = f"{prefix}_" if prefix else ""
-    p.add_argument(f"{dash}id", dest=f"{under}id", default=None)
-    p.add_argument(
-        f"{dash}kind", dest=f"{under}kind", default="stock index", choices=KINDS
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="marketcomplexity",
@@ -353,47 +333,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate and canonicalize a price CSV")
-    p.add_argument("file")
-    _add_series_args(p)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_ingest)
+    def command(name, help, fn, *inputs):
+        """A subcommand that runs `fn` on the args and the series read from
+        the price files named `inputs`; the caller adds its own flags to the
+        parser returned."""
+        p = sub.add_parser(name, help=help)
+        for input in inputs:
+            p.add_argument(input)
+        p.set_defaults(fn=fn, inputs=inputs)
+        return p
 
-    p = sub.add_parser("align", help="peak-anchor one market onto another")
-    p.add_argument("src")
-    p.add_argument("dst")
-    _add_series_args(p, "src")
-    _add_series_args(p, "dst")
+    p = command("ingest", "validate and canonicalize a price CSV", cmd_ingest, "file")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_align)
-
-    p = sub.add_parser("returns", help="log-return moment statistics")
-    p.add_argument("file")
-    _add_series_args(p)
+    p = command("align", "peak-anchor one market onto another", cmd_align, "src", "dst")
+    p.add_argument("--out")
+    p = command("returns", "log-return moment statistics", cmd_returns, "file")
     p.add_argument("--hist-out")
-    p.set_defaults(fn=cmd_returns)
-
-    p = sub.add_parser("entropy", help="block entropy of price movements")
-    p.add_argument("file")
-    _add_series_args(p)
+    p = command("entropy", "block entropy of price movements", cmd_entropy, "file")
     p.add_argument("--max-block", type=int, default=4)
-    p.set_defaults(fn=cmd_entropy)
-
-    p = sub.add_parser("compress", help="LZW compressibility")
-    p.add_argument("file")
-    _add_series_args(p)
+    p = command("compress", "LZW compressibility", cmd_compress, "file")
     p.add_argument("--mode", choices=("binary", "real"), default="binary")
-    p.set_defaults(fn=cmd_compress)
-
-    p = sub.add_parser("bdm", help="block-decomposition complexity estimate")
-    p.add_argument("file")
-    _add_series_args(p)
+    p = command("bdm", "block-decomposition complexity estimate", cmd_bdm, "file")
     p.add_argument("--table", required=True)
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--overlap", type=int, default=None)
-    p.set_defaults(fn=cmd_bdm)
-
-    p = sub.add_parser("ctm-gen", help="generate a complexity table")
+    p = command("ctm-gen", "generate a complexity table", cmd_ctm_gen)
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--shards", type=int, default=1)
@@ -401,27 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, help="sampled-mode machine budget")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d-max", type=int, default=None)
-    p.set_defaults(fn=cmd_ctm_gen)
-
-    p = sub.add_parser("fractal", help="fractal dimension of the price path")
-    p.add_argument("file")
-    _add_series_args(p)
+    p = command("fractal", "fractal dimension of the price path", cmd_fractal, "file")
     p.add_argument("--L", type=int, default=2)
-    p.set_defaults(fn=cmd_fractal)
-
-    p = sub.add_parser("correlate", help="correlation after peak alignment")
-    p.add_argument("src")
-    p.add_argument("dst")
-    _add_series_args(p, "src")
-    _add_series_args(p, "dst")
+    p = command("correlate", "correlation after peak alignment", cmd_correlate, "src", "dst")
     p.add_argument("--movements", action="store_true")
-    p.set_defaults(fn=cmd_correlate)
-
-    p = sub.add_parser("report", help="full metric report from a config file")
+    p = command("report", "full metric report from a config file", cmd_report)
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", default=None)
-    p.set_defaults(fn=cmd_report)
-
     return parser
 
 
@@ -431,7 +381,7 @@ def main(argv=None) -> int:
         # overflow and division by zero surface as failures or errors with
         # reasons; numpy's own warnings about them would only add noise
         with np.errstate(all="ignore"):
-            return args.fn(args)
+            return args.fn(args, *[_read_series(getattr(args, name)) for name in args.inputs])
     except (MarketComplexityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

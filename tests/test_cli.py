@@ -3,7 +3,7 @@ import json
 import re
 import subprocess
 import sys
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +165,40 @@ class TestMeasureCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command in ("ingest", "returns", "entropy", "compress", "bdm", "fractal")
+            for flag in ("--id", "--kind")
+        ]
+        + [
+            (command, flag)
+            for command in ("align", "correlate")
+            for flag in ("--src-id", "--src-kind", "--dst-id", "--dst-kind")
+        ],
+    )
+    def test_series_flags_retired_exit_2(self, tmp_path, capsys, table2, command, flag):
+        """Ids and kinds are set only in a `report` config."""
+        p = write_market(tmp_path, "m.csv", walk_prices(9))
+        argv = [command, str(p)] + ([str(p)] if command in ("align", "correlate") else [])
+        if command == "bdm":
+            table2.save(tmp_path / "ctm.tsv")
+            argv += ["--table", str(tmp_path / "ctm.tsv")]
+        value = "stock index" if flag.endswith("kind") else "X"
+        with pytest.raises(SystemExit) as e:
+            main(argv + [flag, value])
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_series_named_after_file_stem(self, tmp_path, capsys):
+        a = write_market(tmp_path, "a.csv", walk_prices(9))
+        short = write_market(tmp_path, "short.csv", [1.0, 2.0])
+        assert main(["align", str(a), str(short)]) == 2
+        assert capsys.readouterr().err == (
+            "error: series 'short' too short for peak detection\n"
+        )
 
 
 class TestImportCost:
@@ -350,6 +384,10 @@ class TestCtmGen:
         )
 
 
+UTC = timezone.utc
+DATE_FORMS = "(expected ISO-8601 or DD/MM/YYYY)"
+
+
 def write_config(tmp_path, body):
     p = tmp_path / "run.cfg"
     p.write_text(body, encoding="utf-8")
@@ -373,6 +411,48 @@ class TestReportConfig:
         assert cfg.max_block == 5 and cfg.bdm_d == 6
         assert cfg.window_end.year == 2014 and cfg.window_end.month == 6
         assert re.fullmatch(r"[0-9a-f]{12}", cfg.config_hash)
+
+    @pytest.mark.parametrize(
+        "line, field, value",
+        [
+            (
+                "market = BTC, cryptocurrency, m.csv",
+                "markets",
+                [("BTC", "cryptocurrency", "m.csv")],
+            ),
+            ("pair = A, B", "pairs", [("A", "B")]),
+            ("window.start = 2013-01-02", "window_start", datetime(2013, 1, 2, tzinfo=UTC)),
+            ("window.end = 01/06/2014", "window_end", datetime(2014, 6, 1, tzinfo=UTC)),
+            ("entropy.max_block = 5", "max_block", 5),
+            ("bdm.d = 6", "bdm_d", 6),
+            ("bdm.overlap = 3", "bdm_overlap", 3),
+            ("bdm.table = t.tsv", "bdm_table", "t.tsv"),
+            ("fractal.L = 7", "fractal_L", 7),
+            ("output.dir = some dir", "output_dir", "some dir"),
+        ],
+    )
+    def test_each_key_roundtrip(self, tmp_path, line, field, value):
+        cfg = parse_config(write_config(tmp_path, f"# one key\n{line}\n"))
+        assert getattr(cfg, field) == value
+
+    # `bdm.table` and `output.dir` take any text; `validate` checks the paths
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("market = BTC, cryptocurrency", "market value must be `id,kind,path`"),
+            ("pair = A, B, C", "pair value must be `src_id,dst_id`"),
+            ("window.start = 2013-13-01", f"unrecognized date '2013-13-01' {DATE_FORMS}"),
+            ("window.end = x", f"unrecognized date 'x' {DATE_FORMS}"),
+            ("entropy.max_block = 1.5", "invalid literal for int() with base 10: '1.5'"),
+            ("bdm.d = x", "invalid literal for int() with base 10: 'x'"),
+            ("bdm.overlap =", "invalid literal for int() with base 10: ''"),
+            ("fractal.L = two", "invalid literal for int() with base 10: 'two'"),
+        ],
+    )
+    def test_each_key_bad_value_exit_2(self, tmp_path, capsys, line, error):
+        cfg = write_config(tmp_path, f"# one key\n{line}\n")
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: {error}\n"
 
     def test_unknown_key_rejected(self, tmp_path):
         from marketcomplexity.errors import ConfigError

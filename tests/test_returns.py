@@ -224,17 +224,22 @@ def test_moments_mean_matches_numpy(xs):
     st.floats(1e-12, 1.0),
 )
 def test_fd_bin_count_matches_numpy(xs, scale):
-    """The bounded count gives the same edges as numpy's own `bins="fd"`."""
+    """The bounded count gives the same edges as numpy's own `bins="fd"`,
+    and refuses exactly the samples numpy would give too many bins."""
     x = np.asarray(xs) * scale
     if x.min() == x.max():
         return
-    try:
-        bins = _fd_bin_count(x)
-    except DegenerateSeriesError:
-        width = 2 * np.subtract(*np.percentile(x, [75, 25])) * x.size ** (-1 / 3)
-        assert (x.max() - x.min()) / width > MAX_HISTOGRAM_BINS
-        return
-    assert np.array_equal(np.histogram_bin_edges(x, bins=bins), np.histogram_bin_edges(x, "fd"))
+    # numpy's own count, as `_hist_bin_fd` computes it; asking numpy for
+    # the edges only below the limit keeps a wrong count from exhausting
+    # memory
+    width = 2.0 * np.subtract(*np.percentile(x, [75, 25])) * x.size ** (-1.0 / 3.0)
+    numpy_bins = np.ceil((x.max() - x.min()) / width) if width else 1
+    if numpy_bins > MAX_HISTOGRAM_BINS:
+        with pytest.raises(DegenerateSeriesError):
+            _fd_bin_count(x)
+    else:
+        edges = np.histogram_bin_edges(x, bins=_fd_bin_count(x))
+        assert np.array_equal(edges, np.histogram_bin_edges(x, "fd"))
 
 
 @settings(max_examples=400, deadline=None)
