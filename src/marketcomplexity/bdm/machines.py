@@ -14,9 +14,10 @@ step counts for each state count, the enumeration is exhaustive: anything
 still running is a certified non-halter.
 
 Exhaustive and sampled runs both go through one lockstep kernel, which
-steps a batch of machines as numpy arrays. Lookup tables indexed by option
-value decode their transition tables; a tape cell's nonzero mark holds its
-bit and records a visit; halting entries lead to a shared absorbing row.
+steps a batch of machines as numpy arrays. Tables indexed by the value of
+a group of up to three index digits decode their transition tables in a
+few row gathers; a tape cell's nonzero mark holds its bit and records a
+visit; halting entries lead to a shared absorbing row.
 So the step loop neither tracks visited bounds nor tests for halts.
 
 Two reductions of Soler-Toscano, Zenil, Delahaye & Gauvrit (PLoS ONE 2014)
@@ -125,6 +126,39 @@ def _option_tables(states: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(write, dtype=np.uint8), np.array(move, dtype=np.int8), np.array(nxt)
 
 
+@functools.cache
+def _group_tables(states: int) -> tuple:
+    """Lists of tables, one per group of at most 3 consecutive index digits,
+    indexed by its value: its entries' mark written, head move and next
+    entry in the row layout of `_entry_tables` (zeros in other groups'
+    columns), and 1 if it holds a halting entry; the last row is the
+    absorbing row's, with 1. Then, by the first group's value, 1 + the bit
+    that a halting entry for (state 0, blank) writes, or 0."""
+    base, digits = 4 * states + 2, 2 * states
+    tables = [], [], [], []
+    for lo in range(0, digits, 3):
+        es = range(lo, min(lo + 3, digits))
+        d = np.arange(base ** len(es))[:, None] // base ** np.arange(len(es)) % base
+        cols = {e + e // 2: e - lo for e in es}  # entry (state e // 2, read e % 2)
+        cols.update({e + e // 2 + 2: e - lo for e in es if e % 2 == 0})  # mark 2 reads as bit 0
+        # the absorbing row reads option -3, -2 or -1 at mark 0, 1 or 2
+        v = np.vstack([d[:, list(cols.values())], [c % 3 - 3 for c in cols]])
+        for table, option in zip(tables, _option_tables(states)):
+            table.append(np.zeros((len(v), 3 * states), dtype=option.dtype))
+            table[-1][:, list(cols)] = option[v]
+        tables[3].append(np.append((d < 2).any(axis=1), True).astype(np.uint8))
+    d = np.arange(len(tables[3][0]) - 1) % base  # options 0 and 1 write that bit and halt
+    return *tables, np.append(np.where(d < 2, d + 1, 0), 0).astype(np.uint8)
+
+
+def _gathered(tables: list, g: np.ndarray) -> np.ndarray:
+    """Rows `g[i]` of each group's table `tables[i]`, or-ed together."""
+    out = tables[0].take(g[0], axis=0)
+    for t, v in zip(tables[1:], g[1:]):
+        out |= t.take(v, axis=0)
+    return out
+
+
 def _entry_tables(states: int, step_bound: int, m: np.ndarray) -> tuple:
     """Mark written, head move and next entry of every entry of the machines
     `m` that have a halting entry but do not halt on their first transition,
@@ -132,33 +166,26 @@ def _entry_tables(states: int, step_bound: int, m: np.ndarray) -> tuple:
     absorbing row; their first entries; and the numbers of machines with
     the outputs "0" and "1" among those left out because their entry for
     (state 0, blank) halts, as two ints: they write one bit and stop at
-    step 1 if step_bound >= 1."""
-    n_entries = 3 * states
-    write, move, nxt = _option_tables(states)
-    v = np.empty((len(m) + 1, n_entries), dtype=np.int64)
-    least = np.full(len(m), 2)  # least option value; below 2 means a halting entry
-    base = 4 * states + 2
-    for e in range(2 * states):
-        # floor division by a scalar has a faster path than np.divmod; the
-        # in-place subtraction keeps the new arrays per digit at two, as there
-        q = m // base
-        r = q * base
-        np.subtract(m, r, out=r)
-        m = q
-        v[:-1, e + e // 2] = r  # the entry of state e // 2 reading e % 2
-        if e:
-            np.minimum(least, r, out=least)
-        else:  # options 0 and 1 write that bit and halt
-            halts = np.bincount(r, minlength=2)[:2].tolist() if step_bound else [0, 0]
-    least[v[:-1, 0] < 2] = 2  # the first transition halts: counted, not stepped
-    v[:, 2::3] = v[:, ::3]  # mark 2 reads as bit 0
-    v[-1] = [-3, -2, -1] * states
-    v = v.take(np.append(np.flatnonzero(least < 2), len(least)), axis=0)
-    rows = np.arange(0, v.size, n_entries)
-    nxt = nxt[v]
+    step 1 if step_bound >= 1. A machine's rows in the `_group_tables` of
+    its digit groups fill disjoint columns, so or-ed they make its row."""
+    *tables, halt, first = _group_tables(states)
+    # the digit groups' values by scalar floor division, then the absorbing rows
+    g = np.empty((len(halt), len(m) + 1), dtype=np.int64)
+    g[:, -1] = sizes = [len(h) - 1 for h in halt]
+    g[-1, :-1] = rest = m
+    for i, size in enumerate(sizes[:-1]):
+        q = np.floor_divide(rest, size, out=g[i + 1, :-1])
+        np.subtract(rest, q * size, out=g[i, :-1])
+        rest = q
+    f = first.take(g[0])
+    halts = np.bincount(f, minlength=3)[1:].tolist() if step_bound else [0, 0]
+    # step the machines with a halting entry whose first transition does not halt
+    g = g.take((_gathered(halt, g) > f).nonzero()[0], axis=1)
+    write, move, nxt = (_gathered(t, g) for t in tables)
+    rows = np.arange(0, nxt.size, 3 * states)
     nxt += rows[:, None]
     np.minimum(nxt, rows[-1], out=nxt)
-    return write[v].ravel(), move[v].ravel(), nxt.ravel(), rows[:-1], halts
+    return write.ravel(), move.ravel(), nxt.ravel(), rows[:-1], halts
 
 
 def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray, list[int]]:

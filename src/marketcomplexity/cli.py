@@ -66,6 +66,9 @@ class RunConfig:
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate market ids in config")
         for id, kind, path in self.markets:
+            # an id names the market's output files, so it must be a plain file name
+            if id in ("", ".", "..") or "/" in id or "\\" in id:
+                raise ConfigError(f"market {id!r}: id must be a plain file name")
             if kind not in KINDS:
                 raise ConfigError(f"market {id!r}: unknown kind {kind!r}")
             if not Path(path).exists():

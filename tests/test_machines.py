@@ -2,6 +2,9 @@ from collections import Counter
 
 import hashlib
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +310,88 @@ class TestReductions:
         counts, _ = kernel_on(states, bound, ones)
         assert all(c > 0 for c in counts.values())
         assert all(c > 0 for c in sample_machines(states, 500, seed=bound).counts.values())
+
+
+def digit_entry_tables(states, step_bound, m):
+    """`_entry_tables` as it decoded before the digit-group tables: one index
+    digit at a time, the least option value for the halting test, a copy of
+    the mark-0 columns for mark 2, and three flat gathers by option value."""
+    n_entries = 3 * states
+    write, move, nxt = machines._option_tables(states)
+    v = np.empty((len(m) + 1, n_entries), dtype=np.int64)
+    least = np.full(len(m), 2)
+    base = 4 * states + 2
+    for e in range(2 * states):
+        m, r = np.divmod(m, base)
+        v[:-1, e + e // 2] = r
+        if e:
+            np.minimum(least, r, out=least)
+        else:
+            halts = np.bincount(r, minlength=2)[:2].tolist() if step_bound else [0, 0]
+    least[v[:-1, 0] < 2] = 2
+    v[:, 2::3] = v[:, ::3]
+    v[-1] = [-3, -2, -1] * states
+    v = v.take(np.append(np.flatnonzero(least < 2), len(least)), axis=0)
+    rows = np.arange(0, v.size, n_entries)
+    nxt = nxt[v]
+    nxt += rows[:, None]
+    np.minimum(nxt, rows[-1], out=nxt)
+    return write[v].ravel(), move[v].ravel(), nxt.ravel(), rows[:-1], halts
+
+
+class TestEntryTables:
+    """`_entry_tables` ors together rows of tables indexed by groups of at
+    most 3 index digits; it must hand the kernel exactly what the per-digit
+    decode did, dtypes included."""
+
+    @staticmethod
+    def check(states, step_bound, start, stop):
+        m = np.arange(start, stop, dtype=np.int64)
+        got = machines._entry_tables(states, step_bound, m)
+        want = digit_entry_tables(states, step_bound, m)
+        for g, w in zip(got[:4], want[:4]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got[4] == want[4] and [type(c) for c in got[4]] == [int, int]
+
+    @pytest.mark.parametrize("states", [1, 2])
+    @pytest.mark.parametrize("bound", [0, 1, 2, 6])
+    def test_full_ensembles(self, states, bound):
+        self.check(states, bound, 0, machine_count(states))
+
+    @pytest.mark.parametrize("bound", [0, 1, 21])
+    def test_three_state_slices_inside_digit_groups(self, bound):
+        group = 14**3  # the values of one group of three digits
+        for start, stop in [
+            (5 * group + 100, 5 * group + 2000),  # inside one value of the high group
+            (7 * group - 900, 7 * group + 1300),  # across a step of the high group
+            (0, 1), (group - 1, group + 1), (THREE - 1500, THREE),
+            (THREE // 3 + 17, THREE // 3 + 17 + 3 * group),
+        ]:
+            self.check(3, bound, start, stop)
+
+    @pytest.mark.parametrize("bound", [0, 107])
+    @pytest.mark.parametrize("share", [0.1, 0.5, 0.9])
+    def test_four_state_slices(self, bound, share):
+        start = int(machine_count(4) * share)
+        self.check(4, bound, start, start + 3000)
+
+    def test_tables_are_small_and_built_on_first_use(self):
+        # groups of at most 3 digits: 18**3 rows a group at 4 states, where
+        # one table per half of the 8 digits would take about 25 MB
+        src = Path(machines.__file__).parents[2]
+        code = (
+            "from marketcomplexity import cli; from marketcomplexity.bdm import machines; "
+            "print(machines._group_tables.cache_info().currsize)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
+        *tables, first = machines._group_tables(4)
+        assert [len(t) for t in tables[0]] == [18**3 + 1, 18**3 + 1, 18**2 + 1]
+        assert sum(t.nbytes for group in tables for t in group) + first.nbytes <= 2 * 2**20
 
 
 class TestEnumerate:

@@ -157,6 +157,22 @@ def test_unreadable_paths_exit_2(tmp_path, monkeypatch, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("id", ["", "../esc", ".", "..", "a/b", "a\\b"])
+def test_market_id_not_a_plain_file_name_exit_2(tmp_path, monkeypatch, capsys, id):
+    """A market's id names the files `report` writes for it. An empty id
+    wrote `_hist.csv` while `report.csv` named the market after its file,
+    and `../esc` wrote `esc_hist.csv` outside the output directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in").mkdir()
+    _write_iso_market(tmp_path / "in" / "a.csv", 46)
+    (tmp_path / "in" / "run.cfg").write_text(
+        f"market = {id}, stock index, in/a.csv\n", encoding="utf-8"
+    )
+    assert main(["report", "--config", "in/run.cfg", "--output-dir", "in/out"]) == 2
+    assert capsys.readouterr().err == f"error: market {id!r}: id must be a plain file name\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.csv", "in", "run.cfg"]
+
+
 def _write_wild_market(path: Path) -> Path:
     """Closes alternating 1e308 and 1e-308: every return overflows."""
     start = date(2013, 1, 1)
