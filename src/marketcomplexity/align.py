@@ -150,14 +150,12 @@ def align(
     hi = min(src_times[-1], dst.times[-1])
     if hi < lo:
         raise AlignmentError("series time spans are disjoint")
-    masks = []
-    for id, times in ((src.id, src_times), (dst.id, dst.times)):
-        masks.append((times >= lo) & (times <= hi))
-        if masks[-1].sum() < 2:
+    kept = []
+    for series in (SampledSeries(src.id, src_times, src.prices), dst):
+        mask = (series.times >= lo) & (series.times <= hi)
+        if mask.sum() < 2:
             raise AlignmentError(
-                f"series {id!r}: overlap [{lo}, {hi}] holds fewer than 2 points"
+                f"series {series.id!r}: overlap [{lo}, {hi}] holds fewer than 2 points"
             )
-    s, d = masks
-    dst_times, dst_prices = dst.times[d], dst.prices[d]
-    idx = nearest_indices(src_times[s], dst_times)
-    return AlignedPair(src.id, dst.id, dst_times[idx], src.prices[s], dst_prices[idx])
+        kept.append(SampledSeries(series.id, series.times[mask], series.prices[mask]))
+    return nearest_filter(*kept)

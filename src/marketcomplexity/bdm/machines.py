@@ -284,6 +284,15 @@ def symmetrize_counts(counts: dict[str, int] | Counter) -> Counter:
     return out
 
 
+def _distribution(counts, halting, machines, states, exhaustive) -> OutputDistribution:
+    """The blank-0 output counts of a run of `machines` machines, evaluated
+    on both blank symbols (see `symmetrize_counts`)."""
+    return OutputDistribution(
+        dict(symmetrize_counts(counts)), 2 * halting, machines, states,
+        default_step_bound(states), exhaustive,
+    )
+
+
 def shard_ranges(states: int, shards: int) -> list[tuple[int, int]]:
     total = machine_count(states)
     if shards < 1:
@@ -320,14 +329,7 @@ def enumerate_machines(
         halting += h
     for path in paths:
         path.unlink(missing_ok=True)
-    return OutputDistribution(
-        counts=dict(symmetrize_counts(counts)),
-        halting=2 * halting,
-        machines=machine_count(states),
-        states=states,
-        step_bound=step_bound,
-        exhaustive=True,
-    )
+    return _distribution(counts, halting, machine_count(states), states, exhaustive=True)
 
 
 def _shard_path(out: Path, i: int, shards: int) -> Path:
@@ -375,11 +377,4 @@ def sample_machines(states: int, budget: int, seed: int = 0) -> OutputDistributi
         for a in range(0, budget, BATCH)
     )
     counts, halting = _run_batches(states, step_bound, draws)
-    return OutputDistribution(
-        counts=dict(symmetrize_counts(counts)),
-        halting=2 * halting,
-        machines=budget,
-        states=states,
-        step_bound=step_bound,
-        exhaustive=False,
-    )
+    return _distribution(counts, halting, budget, states, exhaustive=False)

@@ -93,6 +93,8 @@ class CtmTable:
             s, kval, tag = parts
             if not s or set(s) - {"0", "1"}:
                 raise TableFormatError(f"{path}:{lineno}: invalid bitstring {s!r}")
+            if s in values:
+                raise TableFormatError(f"{path}:{lineno}: bitstring {s!r} listed twice")
             if tag not in ("exact", "fallback"):
                 raise TableFormatError(f"{path}:{lineno}: invalid tag {tag!r}")
             try:

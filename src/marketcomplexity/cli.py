@@ -73,9 +73,15 @@ class RunConfig:
                 raise ConfigError(f"market {id!r}: unknown kind {kind!r}")
             if not Path(path).exists():
                 raise ConfigError(f"market {id!r}: file not found: {path}")
+        written = {}
         for a, b in self.pairs:
             if a not in ids or b not in ids:
                 raise ConfigError(f"pair {a},{b} references an unconfigured market")
+            # two pairs that name one aligned file would overwrite each other
+            name = _aligned_name(a, b)
+            if name in written:
+                raise ConfigError(f"pairs {written[name]} and {a},{b} both write {name}")
+            written[name] = f"{a},{b}"
         if self.window_start and self.window_end and self.window_start >= self.window_end:
             raise ConfigError("window.start must precede window.end")
         if self.bdm_table and not Path(self.bdm_table).exists():
@@ -84,6 +90,10 @@ class RunConfig:
             raise ConfigError("invalid analysis parameters")
         if self.bdm_overlap is not None and not 1 <= self.bdm_overlap <= self.bdm_d:
             raise ConfigError(f"bdm.overlap must be in 1..{self.bdm_d} (bdm.d)")
+
+
+def _aligned_name(src_id: str, dst_id: str) -> str:
+    return f"{src_id}__{dst_id}_aligned.csv"
 
 
 def parse_config(path: str) -> RunConfig:
@@ -190,7 +200,7 @@ def cmd_report(args) -> int:
     (outdir / "report.csv").write_text(header + report.to_csv(), encoding="utf-8")
 
     for src_id, dst_id in cfg.pairs:
-        name = f"{src_id}__{dst_id}_aligned.csv"
+        name = _aligned_name(src_id, dst_id)
         try:
             src, dst = series[src_id], series[dst_id]
             anchors = align_mod.peak_anchors(src), align_mod.peak_anchors(dst)

@@ -111,6 +111,8 @@ class PriceSeries:
             )
         if not (prices > 0).all():
             raise ValueError(f"price must be positive, got {prices[~(prices > 0)][0]}")
+        if not (prices < np.inf).all():
+            raise ValueError(f"series {self.id!r}: price must be finite, got inf")
         steps = np.flatnonzero(np.diff(times) <= 0)
         if len(steps):
             raise ValueError(

@@ -152,20 +152,21 @@ def _quartiles(x: np.ndarray) -> list:
     return out
 
 
-# Cephes ndtr.c: polynomial coefficients, highest order first.
+# Cephes ndtr.c: polynomial coefficients, highest order first; the leading
+# 1.0 of U, Q and S, implicit in Cephes (p1evl), is written out.
 _T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
       7.00332514112805075473E3, 5.55923013010394962768E4)
-_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
       2.26290000613890934246E4, 4.92673942608635921086E4)
 _P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
       4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
       9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
-_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
       9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
       1.65666309194161350182E3, 5.57535340817727675546E2)
 _R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
       6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
       1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
 _MAXLOG = 7.09782712893383996843E2
 _SQRT1_2 = 0.70710678118654752440
@@ -173,14 +174,6 @@ _SQRT1_2 = 0.70710678118654752440
 
 def _polevl(x: float, coef: tuple) -> float:
     ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coef: tuple) -> float:
-    """_polevl with an implicit leading coefficient of 1."""
-    ans = x + coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
@@ -203,7 +196,7 @@ def _erf(x: float) -> float:
     if x < 0.0:
         return -_erf(-x)
     z = x * x
-    return x * _polevl(z, _T) / _p1evl(z, _U)
+    return x * _polevl(z, _T) / _polevl(z, _U)
 
 
 def _erfc(a: float) -> float:
@@ -215,7 +208,7 @@ def _erfc(a: float) -> float:
         return 0.0
     z = math.exp(z)
     if a < 8.0:
-        p, q = _polevl(a, _P), _p1evl(a, _Q)
+        p, q = _polevl(a, _P), _polevl(a, _Q)
     else:
-        p, q = _polevl(a, _R), _p1evl(a, _S)
+        p, q = _polevl(a, _R), _polevl(a, _S)
     return (z * p) / q

@@ -1,3 +1,4 @@
+import re
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -190,6 +191,19 @@ class TestColumnarSeries:
     def test_validation(self, times, prices, error):
         with pytest.raises(error):
             PriceSeries("X", "stock index", times, prices)
+
+    @pytest.mark.parametrize(
+        "prices, message",
+        [
+            ([1.0, float("inf")], "'X': price must be finite, got inf"),
+            ([float("inf"), -1.0], "price must be positive, got -1.0"),
+            ([1.0, float("nan")], "price must be positive, got nan"),
+        ],
+    )
+    def test_prices_positive_and_finite(self, prices, message):
+        """The rule of the CSV reader: a close is positive and finite."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PriceSeries("X", "stock index", [0, ingest.DAY_US], prices)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

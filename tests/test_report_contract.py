@@ -173,6 +173,26 @@ def test_market_id_not_a_plain_file_name_exit_2(tmp_path, monkeypatch, capsys, i
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.csv", "in", "run.cfg"]
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        (["A__B, C", "A, B__C"], "pairs A__B,C and A,B__C both write A__B__C_aligned.csv"),
+        (["A, C", "A, C"], "pairs A,C and A,C both write A__C_aligned.csv"),
+    ],
+)
+def test_pairs_writing_one_file_exit_2(tmp_path, monkeypatch, capsys, pairs, message):
+    """Two pairs whose ids name one aligned file: the second would
+    overwrite the first's."""
+    monkeypatch.chdir(tmp_path)
+    markets = [f"market = {id}, stock index, m.csv" for id in ("A", "B", "C", "A__B", "B__C")]
+    _write_iso_market(tmp_path / "m.csv", 47)
+    lines = markets + ["pair = A, B", *(f"pair = {p}" for p in pairs)]
+    (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["report", "--config", "run.cfg", "--output-dir", "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _write_wild_market(path: Path) -> Path:
     """Closes alternating 1e308 and 1e-308: every return overflows."""
     start = date(2013, 1, 1)

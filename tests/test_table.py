@@ -1,10 +1,18 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from marketcomplexity.bdm import CtmTable, ctm_from_frequency
 from marketcomplexity.bdm.machines import OutputDistribution
+from marketcomplexity.cli import main
 from marketcomplexity.errors import TableFormatError
+
+
+HEADER = "# states=2 colors=2 step_bound=6 machines=10 mode=exhaustive\n"
+# a complete table of length 1 that lists "0" twice, first as a fallback
+DUPLICATE = f"{HEADER}0\t2.0\tfallback\n0\t1.605968359\texact\n1\t1.605968359\texact\n"
 
 
 def tiny_dist(counts, halting=None):
@@ -126,6 +134,30 @@ class TestPersistence:
         with pytest.raises(TableFormatError):
             CtmTable.load(p)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"{HEADER}0\t1.0\tguess\n1\t1.0\texact\n", ":2: invalid tag 'guess'"),
+            (f"{HEADER}0\tabc\texact\n1\t1.0\texact\n", ":2: invalid K value 'abc'"),
+            (f"{HEADER}0\t1.0\texact\n1\t0\texact\n", ":3: K must be positive"),
+            (f"{HEADER}0\t1.0\texact\n1\tnan\texact\n", ":3: K must be positive"),
+            (f"{HEADER}\n", ": table has no entries"),
+            ("# states=2 colors\n0\t1.0\texact\n", ": malformed header token 'colors'"),
+            ("# states=2 colors=2\n0\t1.0\texact\n", ": incomplete header"),
+            (HEADER.replace("exhaustive", "guessed") + "0\t1.0\texact\n", ": invalid mode"),
+            (DUPLICATE, ":3: bitstring '0' listed twice"),
+        ],
+        ids=[
+            "tag", "unparsable-k", "zero-k", "nan-k", "no-entries", "header-token",
+            "incomplete-header", "mode", "repeated-string",
+        ],
+    )
+    def test_malformed_table_rejected(self, tmp_path, text, message):
+        p = tmp_path / "bad.tsv"
+        p.write_text(text)
+        with pytest.raises(TableFormatError, match=re.escape(f"{p}{message}")):
+            CtmTable.load(p)
+
     def test_nine_decimal_rendering(self, table2, tmp_path):
         path = tmp_path / "ctm2.tsv"
         table2.save(path)
@@ -153,3 +185,16 @@ def test_incomplete_table_rejected(table2, tmp_path):
 def test_d_max_limit_accepted(dist2):
     table = ctm_from_frequency(dist2, d_max=16)
     assert table.d_max == 16 and len(table.values) == 2**17 - 2
+
+
+def test_repeated_bitstring_exits_2(tmp_path, monkeypatch, capsys):
+    """`bdm` and `report` refuse a table that lists a string twice, and
+    `report` writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    Path("dup.tsv").write_text(DUPLICATE)
+    Path("m.csv").write_text("".join(f"2013-01-{d:02d},{d % 5 + 1}\n" for d in range(1, 31)))
+    Path("run.cfg").write_text("market = M, stock index, m.csv\nbdm.table = dup.tsv\nbdm.d = 1\n")
+    for argv in (["bdm", "m.csv", "--table", "dup.tsv"], ["report", "--config", "run.cfg"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: dup.tsv:3: bitstring '0' listed twice\n"
+    assert not Path("out").exists()
