@@ -31,8 +31,6 @@ class LinearTimeMap:
 
 @dataclass(frozen=True)
 class AlignedPair:
-    source_id: str
-    dest_id: str
     times: np.ndarray
     source_prices: np.ndarray
     dest_prices: np.ndarray
@@ -126,8 +124,6 @@ def nearest_filter(src: SampledSeries, dst: SampledSeries) -> AlignedPair:
         raise AlignmentError("destination series is empty")
     idx = nearest_indices(src.times, dst.times)
     return AlignedPair(
-        source_id=src.id,
-        dest_id=dst.id,
         times=dst.times[idx].copy(),
         source_prices=src.prices.copy(),
         dest_prices=dst.prices[idx].copy(),

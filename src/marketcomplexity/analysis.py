@@ -11,7 +11,7 @@ import numpy as np
 
 from .align import align
 from .errors import DegenerateSeriesError, MarketComplexityError
-from .ingest import PriceSeries
+from .ingest import PriceSeries, format_number
 from .returns import HistogramSpec
 
 # column order of the metric report export
@@ -49,25 +49,22 @@ class MarketMetrics:
             v = float(self.values[metric])
             if not math.isfinite(v):
                 return f"FAILED: non-finite value {v!r}"
-            return str(int(v)) if v == int(v) else repr(v)
+            return format_number(v)
         if metric in self.failures:
             return f"FAILED: {self.failures[metric]}"
         return "FAILED: not computed"
 
 
-@dataclass
-class MetricReport:
-    markets: list[MarketMetrics]
+def report_csv(markets: list[MarketMetrics]) -> str:
+    """One row per market: its id, kind and a cell per metric column."""
+    import csv
 
-    def to_csv(self) -> str:
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "kind"] + METRIC_COLUMNS)
-        for m in self.markets:
-            writer.writerow([m.id, m.kind] + [m.cell(c) for c in METRIC_COLUMNS])
-        return buf.getvalue()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "kind"] + METRIC_COLUMNS)
+    for m in markets:
+        writer.writerow([m.id, m.kind] + [m.cell(c) for c in METRIC_COLUMNS])
+    return buf.getvalue()
 
 
 def compute_market_metrics(
@@ -180,8 +177,10 @@ def correlate_markets(
 ) -> float:
     """Correlation of two markets after peak-anchored alignment.
 
-    With `movements`, the up/down indicator of each paired price list is
-    correlated instead of the prices themselves.
+    With `movements`, the step signs (-1, 0, +1) of each paired price list
+    are correlated instead of the prices: a flat step, which in an aligned
+    pair also comes from one destination point paired twice, is 0, not a
+    non-rise as in `encode.binarize`.
     """
     pair = align(src.sampled(), dst.sampled(), src_anchors, dst_anchors)
     if movements:
@@ -193,7 +192,7 @@ def correlate_markets(
 
 
 def group_markets(
-    report: MetricReport, features: list[str], k: int
+    markets: list[MarketMetrics], features: list[str], k: int
 ) -> list[list[str]]:
     """Partition markets into k groups by complete-linkage agglomerative
     clustering of z-scored feature vectors. Markets are processed in
@@ -202,7 +201,7 @@ def group_markets(
 
     if k < 1:
         raise ValueError("k must be at least 1")
-    markets = sorted(report.markets, key=lambda m: m.id)
+    markets = sorted(markets, key=lambda m: m.id)
     if k > len(markets):
         raise ValueError(f"k={k} exceeds market count {len(markets)}")
     rows = []

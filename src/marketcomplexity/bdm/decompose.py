@@ -16,7 +16,6 @@ class BdmResult:
     k_estimate: float
     normalized: float
     deficiency: float
-    block_length: int
     blocks_missing_from_table: int
 
 
@@ -57,6 +56,5 @@ def bdm(
         k_estimate=k_estimate,
         normalized=min(k_estimate / worst, 1.0) if worst > 0 else 0.0,
         deficiency=k_estimate / len(bits),
-        block_length=d,
         blocks_missing_from_table=missing,
     )

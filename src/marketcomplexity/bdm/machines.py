@@ -315,11 +315,12 @@ def enumerate_machines(
     files already there are read instead of enumerated again. The files
     are removed once every shard is merged.
     """
+    ranges = shard_ranges(states, shards)  # checks states and shards before any file
     step_bound = default_step_bound(states)
     counts: Counter = Counter()
     halting = 0
     paths = []
-    for i, (start, stop) in enumerate(shard_ranges(states, shards)):
+    for i, (start, stop) in enumerate(ranges):
         if checkpoint is None:
             c, h = enumerate_range(states, step_bound, start, stop)
         else:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, align as align_mod, encode, entropy as entropy_mod
 from . import fractal as fractal_mod, lzw as lzw_mod, returns as returns_mod
-from .analysis import MetricReport, compute_market_metrics, correlate_markets
+from .analysis import compute_market_metrics, correlate_markets, report_csv
 from .bdm import CtmTable, bdm as bdm_fn, check_d_max, ctm_from_frequency, sample_machines
 from .errors import ConfigError, MarketComplexityError
 from .ingest import KINDS, PriceSeries, parse_csv, parse_date, serialize_csv
@@ -97,7 +97,7 @@ def _aligned_name(src_id: str, dst_id: str) -> str:
 
 
 def parse_config(path: str) -> RunConfig:
-    """Flat `key = value` config file; `market` and `pair` keys repeat."""
+    """Flat `key = value` config file; only `market` and `pair` keys repeat."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -107,6 +107,7 @@ def parse_config(path: str) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     cfg = RunConfig(config_hash=hashlib.sha256(raw).hexdigest()[:12])
+    given = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -117,7 +118,7 @@ def parse_config(path: str) -> RunConfig:
         key = key.strip()
         value = value.strip()
         try:
-            _apply_config_key(cfg, key, value)
+            _apply_config_key(cfg, key, value, given)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}")
     return cfg
@@ -138,7 +139,7 @@ _FIELD_KEYS = {
 }
 
 
-def _apply_config_key(cfg: RunConfig, key: str, value: str) -> None:
+def _apply_config_key(cfg: RunConfig, key: str, value: str, given: set[str]) -> None:
     if key in _LIST_KEYS:
         name, shape = _LIST_KEYS[key]
         parts = tuple(v.strip() for v in value.split(","))
@@ -146,6 +147,9 @@ def _apply_config_key(cfg: RunConfig, key: str, value: str) -> None:
             raise ConfigError(f"{key} value must be `{shape}`")
         getattr(cfg, name).append(parts)
     elif key in _FIELD_KEYS:
+        if key in given:
+            raise ConfigError(f"{key} given twice")
+        given.add(key)
         name, parse = _FIELD_KEYS[key]
         setattr(cfg, name, parse(value))
     else:
@@ -196,8 +200,7 @@ def cmd_report(args) -> int:
             )
         rows.append(m)
         failures.extend((id, name, reason) for name, reason in sorted(m.failures.items()))
-    report = MetricReport(rows)
-    (outdir / "report.csv").write_text(header + report.to_csv(), encoding="utf-8")
+    (outdir / "report.csv").write_text(header + report_csv(rows), encoding="utf-8")
 
     for src_id, dst_id in cfg.pairs:
         name = _aligned_name(src_id, dst_id)
@@ -235,20 +238,20 @@ def cmd_report(args) -> int:
 
 def cmd_ctm_gen(args) -> int:
     check_d_max(args.d_max)  # before a run that can take minutes
-    states = args.states
-    if states == 4 or args.budget is not None:
-        if args.budget is None:
-            raise ConfigError("states=4 requires --budget (sampled mode)")
-        dist = sample_machines(states, args.budget, seed=args.seed)
-    elif states not in (1, 2, 3):
-        raise ConfigError("exhaustive mode supports states 1..3")
-    elif args.shards < 1:
-        raise ConfigError("--shards must be at least 1")
+    if args.budget is not None:
+        if args.shards != 1 or args.resume:
+            flag = "--shards" if args.shards != 1 else "--resume"
+            raise ConfigError(f"{flag} applies only to exhaustive mode, not with --budget")
+        dist = sample_machines(args.states, args.budget, seed=args.seed)
+    elif args.states == 4:
+        raise ConfigError("states=4 requires --budget (sampled mode)")
+    elif args.seed != 0:
+        raise ConfigError("--seed applies only to sampled mode (--budget)")
     else:
         from .bdm import enumerate_machines
 
         dist = enumerate_machines(
-            states, shards=args.shards, checkpoint=args.out, resume=args.resume
+            args.states, shards=args.shards, checkpoint=args.out, resume=args.resume
         )
     table = ctm_from_frequency(dist, d_max=args.d_max)
     table.save(args.out)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ingest import PriceSeries, format_prices
+from .ingest import PriceSeries, format_number
 
 
 def binarize(s: PriceSeries) -> str:
@@ -21,4 +21,4 @@ def binarize(s: PriceSeries) -> str:
 def serialize_prices(s: PriceSeries) -> bytes:
     """Canonical comma-joined decimal text of the prices, for feeding the
     real-value path of a generic lossless compressor."""
-    return ",".join(format_prices(s.prices)).encode("ascii")
+    return ",".join(map(format_number, s.prices.tolist())).encode("ascii")

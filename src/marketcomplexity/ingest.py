@@ -176,13 +176,10 @@ class SampledSeries:
         return len(self.times)
 
 
-def format_prices(prices: np.ndarray) -> list[str]:
-    """Each price as the shortest decimal that round-trips; integral values
-    below 1e16 drop the fraction."""
-    integral = (np.trunc(prices) == prices) & (np.abs(prices) < 1e16)
-    cells = prices.astype(object)
-    cells[integral] = prices[integral].astype(np.int64)
-    return list(map(str, cells.tolist()))  # str of a float is its repr
+def format_number(v: float) -> str:
+    """The shortest decimal that round-trips; integral values below 1e16
+    drop the fraction."""
+    return str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
 
 
 def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
@@ -292,8 +289,8 @@ def _parses(parse, text: str) -> bool:
 def serialize_csv(series: PriceSeries) -> str:
     """Canonical serialization: ISO-8601 dates, full-precision prices."""
     lines = []
-    for us, price in zip(series.times.tolist(), format_prices(series.prices)):
+    for us, price in zip(series.times.tolist(), series.prices.tolist()):
         ts = from_epoch_us(us).replace(tzinfo=None)
         stamp = ts.date().isoformat() if us % DAY_US == 0 else ts.isoformat()
-        lines.append(f"{stamp},{price}")
+        lines.append(f"{stamp},{format_number(price)}")
     return "\n".join(lines) + "\n"

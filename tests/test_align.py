@@ -94,6 +94,10 @@ class TestFitTimeMap:
         with pytest.raises(AlignmentError):
             fit_time_map((5.0, 5.0), (1.0, 2.0))
 
+    def test_destination_anchors_not_chronological_error(self):
+        with pytest.raises(AlignmentError, match="destination anchors"):
+            fit_time_map((1.0, 2.0), (5.0, 4.0))
+
     def test_negative_slope_rejected(self):
         with pytest.raises(ValueError):
             LinearTimeMap(-1.0, 0.0)
@@ -161,6 +165,10 @@ class TestNearestFilter:
         pair = nearest_filter(src, dst)
         assert pair.times[0] == 40  # equidistant, earlier wins
 
+    def test_empty_destination_error(self):
+        with pytest.raises(AlignmentError, match="destination series is empty"):
+            nearest_filter(sampled([1, 2], [1, 1]), sampled([], []))
+
     def test_output_length_equals_source(self):
         rng = np.random.default_rng(0)
         src = sampled(np.sort(rng.uniform(0, 100, 37)), rng.uniform(1, 2, 37))
@@ -208,7 +216,7 @@ def test_aligned_csv_matches_per_row_loop():
         rng = np.random.default_rng(seed)
         signed = np.concatenate([edge_floats(seed), -edge_floats(seed)])
         columns = [rng.permutation(signed) for _ in range(3)]
-        pair = AlignedPair("A", "B", *columns)
+        pair = AlignedPair(*columns)
         expected = "dest_time,source_price,dest_price\n" + "".join(
             f"{float(t)!r},{float(sp)!r},{float(dp)!r}\n" for t, sp, dp in zip(*columns)
         )

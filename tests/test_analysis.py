@@ -3,11 +3,11 @@ import pytest
 
 from marketcomplexity.analysis import (
     MarketMetrics,
-    MetricReport,
     compute_market_metrics,
     correlate_markets,
     group_markets,
     pearson_correlation,
+    report_csv,
 )
 from marketcomplexity.errors import DegenerateSeriesError, MarketComplexityError
 from marketcomplexity.synthetic import market_fixture
@@ -93,31 +93,31 @@ class TestCorrelateMarkets:
         assert v == pytest.approx(1.0, abs=1e-9)
 
 
-def simple_report(vectors):
+def simple_markets(vectors):
     markets = []
     for id, vec in vectors.items():
         m = MarketMetrics(id=id, kind="stock index")
         m.values = {f"f{i}": v for i, v in enumerate(vec)}
         markets.append(m)
-    return MetricReport(markets), [f"f{i}" for i in range(len(next(iter(vectors.values()))))]
+    return markets, [f"f{i}" for i in range(len(next(iter(vectors.values()))))]
 
 
 class TestGrouping:
     def test_singletons(self):
-        report, feats = simple_report({"A": [1, 2], "B": [3, 4], "C": [5, 6]})
-        assert group_markets(report, feats, 3) == [["A"], ["B"], ["C"]]
+        markets, feats = simple_markets({"A": [1, 2], "B": [3, 4], "C": [5, 6]})
+        assert group_markets(markets, feats, 3) == [["A"], ["B"], ["C"]]
 
     def test_identical_vectors_merge_first(self):
-        report, feats = simple_report({"A": [1, 1], "B": [1, 1], "C": [9, 9]})
-        groups = group_markets(report, feats, 2)
+        markets, feats = simple_markets({"A": [1, 1], "B": [1, 1], "C": [9, 9]})
+        groups = group_markets(markets, feats, 2)
         assert ["A", "B"] in groups and ["C"] in groups
 
     def test_partition_property(self):
         rng = np.random.default_rng(5)
         vectors = {f"M{i}": list(rng.uniform(size=3)) for i in range(8)}
-        report, feats = simple_report(vectors)
+        markets, feats = simple_markets(vectors)
         for k in (1, 2, 4, 8):
-            groups = group_markets(report, feats, k)
+            groups = group_markets(markets, feats, k)
             ids = sorted(x for g in groups for x in g)
             assert ids == sorted(vectors)
             assert len(groups) == k
@@ -125,28 +125,27 @@ class TestGrouping:
     def test_affine_rescaling_invariance(self):
         rng = np.random.default_rng(6)
         vectors = {f"M{i}": list(rng.uniform(size=2)) for i in range(6)}
-        report, feats = simple_report(vectors)
+        markets, feats = simple_markets(vectors)
         scaled = {id: [v[0] * 100 + 3, v[1] * 0.5 + 9] for id, v in vectors.items()}
-        report2, _ = simple_report(scaled)
-        assert group_markets(report, feats, 3) == group_markets(report2, feats, 3)
+        markets2, _ = simple_markets(scaled)
+        assert group_markets(markets, feats, 3) == group_markets(markets2, feats, 3)
 
     def test_missing_feature_errors(self):
-        report, feats = simple_report({"A": [1], "B": [2]})
-        report.markets[0].values.pop("f0")
+        markets, feats = simple_markets({"A": [1], "B": [2]})
+        markets[0].values.pop("f0")
         with pytest.raises(MarketComplexityError):
-            group_markets(report, feats, 2)
+            group_markets(markets, feats, 2)
 
     def test_k_exceeds_markets(self):
-        report, feats = simple_report({"A": [1], "B": [2]})
+        markets, feats = simple_markets({"A": [1], "B": [2]})
         with pytest.raises(ValueError):
-            group_markets(report, feats, 3)
+            group_markets(markets, feats, 3)
 
     def test_fixture_fx_forms_own_group(self, table2):
         # the fractal dimension separates the smooth FX-like markets
         fix = market_fixture(n=800)
         rows = [compute_market_metrics(s, s, table2) for s in fix]
-        report = MetricReport(rows)
-        groups = group_markets(report, ["std_log_return", "hall_wood_full"], 2)
+        groups = group_markets(rows, ["std_log_return", "hall_wood_full"], 2)
         fx = sorted(s.id for s in fix if s.kind == "foreign exchange")
         assert fx in groups
 
@@ -176,10 +175,11 @@ class TestMetricReport:
 
     def test_non_finite_cell_is_failed(self):
         m = MarketMetrics(id="X", kind="stock index")
-        m.values.update(a=float("nan"), b=float("inf"), c=3.0)
+        m.values.update(a=float("nan"), b=float("inf"), c=3.0, d=1e16)
         assert m.cell("a") == "FAILED: non-finite value nan"
         assert m.cell("b") == "FAILED: non-finite value inf"
         assert m.cell("c") == "3"
+        assert m.cell("d") == "1e+16"  # integral values drop the fraction below 1e16 only
 
     def test_non_finite_metric_becomes_failure(self, table2, monkeypatch):
         from marketcomplexity import lzw
@@ -225,7 +225,7 @@ class TestMetricReport:
 
         fix = market_fixture(n=300)
         rows = [compute_market_metrics(s, s, table2) for s in fix]
-        csv_text = MetricReport(rows).to_csv()
+        csv_text = report_csv(rows)
         lines = csv_text.strip().splitlines()
         assert len(lines) == 13
         assert lines[0].split(",")[:2] == ["id", "kind"]

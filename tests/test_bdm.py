@@ -14,7 +14,6 @@ class TestFormula:
     def test_repeated_block_instantiation(self, table3):
         r = bdm("00000000", table3, d=4, overlap=4)
         assert r.k_estimate == pytest.approx(1.0 + table3.k("0000"))
-        assert r.block_length == 4
 
     def test_two_distinct_blocks(self, table3):
         r = bdm("00001111", table3, d=4, overlap=4)

@@ -247,10 +247,10 @@ class TestImportCost:
         # scipy.cluster is imported on the first call, after the CLI
         code = (
             "import sys, marketcomplexity.cli; "
-            "from marketcomplexity.analysis import MarketMetrics, MetricReport, group_markets; "
+            "from marketcomplexity.analysis import MarketMetrics, group_markets; "
             "ms = [MarketMetrics(i, 'stock index', {'x': x}) "
             "for i, x in (('A', 0.0), ('B', 0.1), ('C', 5.0), ('D', 5.2))]; "
-            "print(group_markets(MetricReport(ms), ['x'], 2), 'scipy.cluster' in sys.modules)"
+            "print(group_markets(ms, ['x'], 2), 'scipy.cluster' in sys.modules)"
         )
         assert self.run_python(code).strip() == "[['A', 'B'], ['C', 'D']] True"
 
@@ -447,12 +447,37 @@ class TestReportConfig:
             ("bdm.d = x", "invalid literal for int() with base 10: 'x'"),
             ("bdm.overlap =", "invalid literal for int() with base 10: ''"),
             ("fractal.L = two", "invalid literal for int() with base 10: 'two'"),
+            ("bdm.d 4", "expected `key = value`"),
         ],
     )
     def test_each_key_bad_value_exit_2(self, tmp_path, capsys, line, error):
         cfg = write_config(tmp_path, f"# one key\n{line}\n")
         assert main(["report", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:2: {error}\n"
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("window.start = 2013-01-02", "window.start = 2013-01-03"),
+            ("window.end = 2014-06-01", "window.end=01/06/2014"),
+            ("entropy.max_block = 5", "entropy.max_block = 5"),
+            ("bdm.d = 4", "bdm.d = 3"),
+            ("bdm.overlap = 3", " bdm.overlap = 2"),
+            ("bdm.table = t.tsv", "bdm.table = u.tsv"),
+            ("fractal.L = 7", "fractal.L = 2"),
+            ("output.dir = a", "output.dir = b"),
+        ],
+    )
+    def test_single_value_key_given_twice_exit_2(
+        self, tmp_path, monkeypatch, capsys, first, second
+    ):
+        monkeypatch.chdir(tmp_path)
+        m = write_market(tmp_path, "m.csv", walk_prices(19))
+        cfg = write_config(tmp_path, f"market = M, stock index, {m}\n{first}\n{second}\n")
+        assert main(["report", "--config", str(cfg)]) == 2
+        key = first.partition(" ")[0]
+        assert capsys.readouterr().err == f"error: {cfg}:3: {key} given twice\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "run.cfg"]
 
     def test_unknown_key_rejected(self, tmp_path):
         from marketcomplexity.errors import ConfigError
@@ -595,6 +620,16 @@ class TestReportCommand:
         assert main(["report", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "bdm.overlap must be in 1..4" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["entropy.max_block = 0", "bdm.d = 0", "fractal.L = 1"])
+    def test_analysis_parameter_out_of_range_exit_2(self, tmp_path, capsys, line):
+        a = write_market(tmp_path, "a.csv", walk_prices(18))
+        cfg = write_config(
+            tmp_path, f"market = A, stock index, {a}\n{line}\noutput.dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: invalid analysis parameters\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overlap", [1, 4])

@@ -1,6 +1,8 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from marketcomplexity.encode import binarize, serialize_prices
+from marketcomplexity.ingest import format_number
 
 from conftest import daily_series, edge_floats
 
@@ -10,6 +12,37 @@ def _format_price(value: float) -> str:
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
+
+
+def _format_array(prices: np.ndarray) -> list[str]:
+    """The rule over a whole array at once, as an object array whose
+    integral cells below 1e16 are cast to int64."""
+    integral = (np.trunc(prices) == prices) & (np.abs(prices) < 1e16)
+    cells = prices.astype(object)
+    cells[integral] = prices[integral].astype(np.int64)
+    return list(map(str, cells.tolist()))  # str of a float is its repr
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+class TestFormatNumber:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats()
+            | st.integers(-(10**17), 10**17).map(float)
+            | st.floats(-_SMALLEST_NORMAL, _SMALLEST_NORMAL),
+            min_size=1,
+        )
+    )
+    def test_matches_array_formatter(self, values):
+        assert [format_number(v) for v in values] == _format_array(np.array(values))
+
+    def test_matches_array_formatter_on_edge_floats(self):
+        for seed in range(5):
+            values = np.concatenate([edge_floats(seed), -edge_floats(seed), [0.0, -0.0]])
+            assert [format_number(v) for v in values.tolist()] == _format_array(values)
 
 
 class TestBinarize:

@@ -142,6 +142,13 @@ class TestOls:
         with pytest.raises(ValueError):
             hall_wood_ols(g, 1)
 
+    def test_zero_area_at_scale_two_only(self):
+        # values alternate 0, 1: steps of one and three points move, steps of two do not
+        g = UnitGridSeries.from_values([0.0, 1.0] * 6 + [0.0])
+        assert [hw_area(g, l) == 0 for l in (1, 2, 3)] == [False, True, False]
+        with pytest.raises(DegenerateSeriesError, match="scale l=2;"):
+            hall_wood_ols(g, 3)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_ols2_equals_two_scale_property(self, seed):

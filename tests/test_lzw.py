@@ -217,6 +217,10 @@ class TestCompressibility:
         ]
         assert min(ratios) >= 0.9
 
+    def test_empty_errors(self):
+        with pytest.raises(ValueError, match="cannot measure empty input"):
+            compressibility(b"")
+
     def test_two_byte_fixed_width_accounting(self):
         # 2 codes, final dictionary 257 entries -> 9-bit codes
         assert compressibility(b"AB") == pytest.approx(2 * 9 / 16)

@@ -470,6 +470,53 @@ def test_ctm_gen_checks_d_max_before_any_machine(tmp_path, capsys, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "run, error",
+    [
+        (["--states", "2", "--budget", "10", "--shards", "2"],
+         "--shards applies only to exhaustive mode, not with --budget"),
+        (["--states", "2", "--budget", "10", "--shards", "0"],
+         "--shards applies only to exhaustive mode, not with --budget"),
+        (["--states", "4", "--budget", "10", "--resume"],
+         "--resume applies only to exhaustive mode, not with --budget"),
+        (["--states", "2", "--seed", "3"], "--seed applies only to sampled mode (--budget)"),
+        (["--states", "4", "--seed", "3"], "states=4 requires --budget (sampled mode)"),
+        (["--states", "2", "--shards", "0"], "shards must be at least 1"),
+        (["--states", "5"], "states must be in 1..4"),
+        (["--states", "0", "--shards", "2", "--resume"], "states must be in 1..4"),
+    ],
+)
+def test_ctm_gen_flags_refused_before_any_machine(tmp_path, capsys, monkeypatch, run, error):
+    """A flag the chosen mode would never read, or a state or shard count
+    out of range, is refused before any machine runs or any file is
+    written."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("machines ran before the flags were checked")
+
+    monkeypatch.setattr("marketcomplexity.bdm.machines._run_batch", never)
+    assert main(["ctm-gen", *run, "--out", str(tmp_path / "t.tsv")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (b"2013-01-01,1\n31/02/2013,2\n2013-01-03,3\n",
+         "line 2: invalid DD/MM/YYYY date '31/02/2013': day is out of range for month"),
+        (b"2013-01-01,1\n2013-01-02,2\xe9\n",
+         "input is not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 25: "
+         "invalid continuation byte"),
+    ],
+    ids=["dmy-day-out-of-range", "not-utf-8"],
+)
+def test_bad_price_file_exit_2(tmp_path, capsys, body, error):
+    (tmp_path / "m.csv").write_bytes(body)
+    assert main(["ingest", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def _main_exit_code(argv: list[str]) -> int:
     """`main`'s return value, or the status of argparse's SystemExit."""
     try:
