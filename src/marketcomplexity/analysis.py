@@ -194,11 +194,9 @@ def correlate_markets(
 def group_markets(
     markets: list[MarketMetrics], features: list[str], k: int
 ) -> list[list[str]]:
-    """Partition markets into k groups by complete-linkage agglomerative
-    clustering of z-scored feature vectors. Markets are processed in
-    lexicographic id order so the result is input-order independent."""
-    from scipy.cluster.hierarchy import fcluster, linkage
-
+    """Partition markets into k groups (fewer where merge heights tie) by
+    complete-linkage clustering of z-scored feature vectors, taken in id
+    order so that the result does not depend on the input order."""
     if k < 1:
         raise ValueError("k must be at least 1")
     markets = sorted(markets, key=lambda m: m.id)
@@ -216,13 +214,50 @@ def group_markets(
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std[std == 0] = 1.0
-    z = (x - mean) / std
-    if k == len(markets):
-        labels = np.arange(len(markets))
-    else:
-        tree = linkage(z, method="complete", metric="euclidean")
-        labels = fcluster(tree, t=k, criterion="maxclust")
+    labels = _complete_linkage_cut((x - mean) / std, k)
     groups: dict[int, list[str]] = {}
     for m, lab in zip(markets, labels):
         groups.setdefault(int(lab), []).append(m.id)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+
+def _complete_linkage_cut(z: np.ndarray, k: int) -> np.ndarray:
+    """Cluster labels of the rows of `z`, partitioned as scipy's
+    `fcluster(linkage(z, "complete"), k, "maxclust")` partitions them.
+
+    scipy's nearest-neighbour chain (Müllner, arXiv:1109.2378): the last
+    cluster steps to its nearest one, the lowest index among equals, unless
+    the previous element is as near; then both merge into the larger index
+    with the larger of their distances. The cut applies every merge at or
+    below the (n-k)-th smallest height. Distances sum the features in
+    `pdist`'s order, so ties fall the same way. Non-finite distances raise
+    ValueError, unless k == n and nothing merges.
+    """
+    n = len(z)
+    d = np.zeros((n, n))
+    for col in z.T:
+        d += (col[:, None] - col) ** 2
+    d = np.sqrt(d)
+    if k < n and not np.isfinite(d).all():
+        raise ValueError("feature distances must be finite")
+    active = np.ones(n, dtype=bool)
+    merges, chain = [], []
+    for _ in range(n - 1):
+        chain = chain or [int(active.argmax())]
+        while True:
+            row = np.where(active, d[chain[-1]], np.inf)
+            row[chain[-1]] = np.inf
+            if len(chain) > 1 and row[chain[-2]] == row.min():
+                break
+            chain.append(int(row.argmin()))
+        x, y = sorted(chain[-2:])
+        del chain[-2:]
+        merges.append((d[x, y], x, y))
+        active[x] = False
+        d[y] = d[:, y] = np.maximum(d[x], d[y])
+    cut = max(sorted(h for h, _, _ in merges)[: n - k], default=-np.inf)
+    labels = np.arange(n)
+    for h, x, y in merges:
+        if h <= cut:
+            labels[labels == labels[x]] = labels[y]
+    return labels

@@ -348,7 +348,11 @@ def _checkpointed_range(
         try:
             saved = json.loads(path.read_text(encoding="utf-8"))
             counts, halting = saved["counts"], saved["halting"]
-            whole = all(type(c) is int for c in [halting, *counts.values()])
+            # `_run_batches` adds to `halting` exactly what it counts
+            whole = type(halting) is int and halting == sum(counts.values()) and all(
+                s and not set(s) - {"0", "1"} and type(c) is int and c >= 1
+                for s, c in counts.items()
+            )
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
             whole = False
         if not whole:

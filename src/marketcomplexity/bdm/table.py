@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import log2
+from math import inf, log2
 from pathlib import Path
 
 from ..errors import TableFormatError
@@ -101,8 +101,8 @@ class CtmTable:
                 k = float(kval)
             except ValueError:
                 raise TableFormatError(f"{path}:{lineno}: invalid K value {kval!r}")
-            if not k > 0:
-                raise TableFormatError(f"{path}:{lineno}: K must be positive")
+            if not 0 < k < inf:
+                raise TableFormatError(f"{path}:{lineno}: K must be positive and finite")
             values[s] = k
             if tag == "fallback":
                 fallback.add(s)

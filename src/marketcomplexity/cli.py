@@ -238,6 +238,8 @@ def cmd_report(args) -> int:
 
 def cmd_ctm_gen(args) -> int:
     check_d_max(args.d_max)  # before a run that can take minutes
+    if not Path(args.out).parent.is_dir():
+        raise ConfigError(f"--out: {Path(args.out).parent} is not an existing directory")
     if args.budget is not None:
         if args.shards != 1 or args.resume:
             flag = "--shards" if args.shards != 1 else "--resume"

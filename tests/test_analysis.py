@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from marketcomplexity.analysis import (
     MarketMetrics,
@@ -148,6 +150,66 @@ class TestGrouping:
         groups = group_markets(rows, ["std_log_return", "hall_wood_full"], 2)
         fx = sorted(s.id for s in fix if s.kind == "foreign exchange")
         assert fx in groups
+
+
+class TestGroupingMatchesScipy:
+    """scipy's complete linkage cut by `maxclust` is the oracle; ties in
+    the integer and one-decimal families decide the merge order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_partitions_equal_scipy(self, data):
+        from scipy.cluster.hierarchy import fcluster, linkage
+
+        n = data.draw(st.integers(2, 40), label="n")
+        f = data.draw(st.integers(1, 16), label="f")
+        family = data.draw(st.sampled_from(["gaussian", "grid", "one-decimal"]), label="family")
+        if family == "gaussian":
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            x = np.random.default_rng(seed).standard_normal((n, f))
+        elif family == "grid":
+            x = data.draw(arrays(float, (n, f), elements=st.sampled_from([0.0, 1.0, 2.0])))
+        else:
+            x = data.draw(arrays(np.int64, (n, f), elements=st.integers(-30, 30))) / 10
+        ids = [f"M{i:02d}" for i in range(n)]
+        markets, feats = simple_markets(dict(zip(ids, x.tolist())))
+        std = x.std(axis=0)
+        std[std == 0] = 1.0
+        tree = linkage((x - x.mean(axis=0)) / std, method="complete")
+        for k in range(1, n + 1):
+            labels = fcluster(tree, t=k, criterion="maxclust")
+            expected = sorted(
+                [ids[i] for i in np.flatnonzero(labels == lab)] for lab in set(labels)
+            )
+            assert group_markets(markets, feats, k) == expected, k
+
+    def test_distances_summed_in_pdist_order(self):
+        # summed feature by feature, A-C and B-C both come to 5.999999999999999
+        # and the tie goes to the lowest index; summed pairwise, A-C is 6.0
+        markets, feats = simple_markets({
+            "A": [1, 1, 1, 0, 0, 0, 2, 0, 2, 2, 1, 2, 1, 1, 0, 0],
+            "B": [0, 2, 1, 2, 2, 1, 2, 0, 1, 2, 2, 0, 0, 2, 0, 2],
+            "C": [2, 1, 0, 2, 1, 1, 1, 0, 1, 2, 0, 2, 0, 1, 0, 2],
+        })
+        assert group_markets(markets, feats, 2) == [["A", "C"], ["B"]]
+
+    def test_chain_keeps_its_previous_element_on_a_tie(self):
+        # stepping to the lowest-index nearest cluster instead of back to
+        # the previous chain element, as near, ends in [A, E], [B, C, D]
+        markets, feats = simple_markets(
+            {"A": [0, 1], "B": [2, 1], "C": [1, 0], "D": [2, 0], "E": [0, 0]}
+        )
+        assert group_markets(markets, feats, 2) == [["A", "C", "E"], ["B", "D"]]
+
+    def test_k_equal_to_market_count_gives_singletons(self):
+        markets, feats = simple_markets({"A": [1, 1], "B": [1, 1], "C": [2, 5], "D": [2, 5]})
+        assert group_markets(markets, feats, 4) == [["A"], ["B"], ["C"], ["D"]]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_feature_rejected(self, bad):
+        markets, feats = simple_markets({"A": [1, bad], "B": [2, 0], "C": [3, 1]})
+        with pytest.raises(ValueError):
+            group_markets(markets, feats, 2)
 
 
 class TestMetricReport:

@@ -244,15 +244,16 @@ class TestImportCost:
         assert (tmp_path / "out" / "BETA_hist.csv").exists()
 
     def test_group_markets_still_clusters(self):
-        # scipy.cluster is imported on the first call, after the CLI
+        # with scipy blocked, any import of it raises ImportError
         code = (
-            "import sys, marketcomplexity.cli; "
+            "import sys; sys.modules['scipy'] = None; "
+            "import marketcomplexity.cli; "
             "from marketcomplexity.analysis import MarketMetrics, group_markets; "
             "ms = [MarketMetrics(i, 'stock index', {'x': x}) "
             "for i, x in (('A', 0.0), ('B', 0.1), ('C', 5.0), ('D', 5.2))]; "
-            "print(group_markets(ms, ['x'], 2), 'scipy.cluster' in sys.modules)"
+            "print(group_markets(ms, ['x'], 2))"
         )
-        assert self.run_python(code).strip() == "[['A', 'B'], ['C', 'D']] True"
+        assert self.run_python(code).strip() == "[['A', 'B'], ['C', 'D']]"
 
 
 class TestCtmGen:
@@ -346,7 +347,13 @@ class TestCtmGen:
     def test_unreadable_checkpoint_rejected(self, tmp_path, capsys):
         out = tmp_path / "ctm.tsv"
         argv = ["ctm-gen", "--states", "2", "--out", str(out), "--shards", "4", "--resume"]
+        start, stop = shard_ranges(2, 4)[0]
+        shard = {"states": 2, "step_bound": 6, "start": start, "stop": stop}
         for text in [
+            # well-typed, in place of shard 0, but not what any run counts
+            json.dumps({**shard, "halting": 5, "counts": {"0": -3, "1": 8}}),
+            json.dumps({**shard, "halting": 1, "counts": {"2x": 1}}),
+            json.dumps({**shard, "halting": 999, "counts": {"0": 1}}),
             "# states=2 halting=x\n0\t1\n",
             # a checkpoint left in the earlier tab-separated format
             "# states=2 step_bound=6 start=0 stop=2500 halting=1\n0\t1\n",

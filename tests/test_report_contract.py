@@ -484,18 +484,23 @@ def test_ctm_gen_checks_d_max_before_any_machine(tmp_path, capsys, monkeypatch, 
         (["--states", "2", "--shards", "0"], "shards must be at least 1"),
         (["--states", "5"], "states must be in 1..4"),
         (["--states", "0", "--shards", "2", "--resume"], "states must be in 1..4"),
+        (["--states", "3", "--out", "gone/c3.tsv"], "--out: gone is not an existing directory"),
+        (["--states", "4", "--budget", "300000", "--out", "gone/c4.tsv"],
+         "--out: gone is not an existing directory"),
     ],
 )
 def test_ctm_gen_flags_refused_before_any_machine(tmp_path, capsys, monkeypatch, run, error):
-    """A flag the chosen mode would never read, or a state or shard count
-    out of range, is refused before any machine runs or any file is
-    written."""
+    """A flag the chosen mode would never read, a state or shard count out
+    of range, or an --out in a missing directory is refused before any
+    machine runs or any file is written."""
 
     def never(*args, **kwargs):
         raise AssertionError("machines ran before the flags were checked")
 
     monkeypatch.setattr("marketcomplexity.bdm.machines._run_batch", never)
-    assert main(["ctm-gen", *run, "--out", str(tmp_path / "t.tsv")]) == 2
+    monkeypatch.chdir(tmp_path)
+    # an --out in `run` comes last, so it replaces this one
+    assert main(["ctm-gen", "--out", "t.tsv", *run]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
     assert list(tmp_path.iterdir()) == []
 

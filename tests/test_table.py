@@ -141,6 +141,8 @@ class TestPersistence:
             (f"{HEADER}0\tabc\texact\n1\t1.0\texact\n", ":2: invalid K value 'abc'"),
             (f"{HEADER}0\t1.0\texact\n1\t0\texact\n", ":3: K must be positive"),
             (f"{HEADER}0\t1.0\texact\n1\tnan\texact\n", ":3: K must be positive"),
+            (f"{HEADER}0\tinf\texact\n1\t1.0\texact\n", ":2: K must be positive and finite"),
+            (f"{HEADER}0\t1.0\texact\n1\t1e999\texact\n", ":3: K must be positive and finite"),
             (f"{HEADER}\n", ": table has no entries"),
             ("# states=2 colors\n0\t1.0\texact\n", ": malformed header token 'colors'"),
             ("# states=2 colors=2\n0\t1.0\texact\n", ": incomplete header"),
@@ -148,7 +150,8 @@ class TestPersistence:
             (DUPLICATE, ":3: bitstring '0' listed twice"),
         ],
         ids=[
-            "tag", "unparsable-k", "zero-k", "nan-k", "no-entries", "header-token",
+            "tag", "unparsable-k", "zero-k", "nan-k", "inf-k", "overflowing-k", "no-entries",
+            "header-token",
             "incomplete-header", "mode", "repeated-string",
         ],
     )
