@@ -5,16 +5,3 @@ fractal roughness, plus the time alignment needed to compare markets."""
 __version__ = "0.1.0"
 
 from . import align, analysis, bdm, encode, entropy, fractal, ingest, lzw, returns
-
-__all__ = [
-    "__version__",
-    "align",
-    "analysis",
-    "bdm",
-    "encode",
-    "entropy",
-    "fractal",
-    "ingest",
-    "lzw",
-    "returns",
-]

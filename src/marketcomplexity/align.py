@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError
-from .ingest import PriceSeries, SampledSeries
+from .ingest import PriceSeries, SampledSeries, numeric_csv
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,8 @@ class AlignedPair:
 
     def to_csv(self) -> str:
         columns = (self.times, self.source_prices, self.dest_prices)
-        rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-        return "dest_time,source_price,dest_price\n" + "".join(
-            [f"{t!r},{sp!r},{dp!r}\n" for t, sp, dp in rows]
+        return numeric_csv(
+            "dest_time,source_price,dest_price", *(np.asarray(c, dtype=float) for c in columns)
         )
 
 
@@ -103,26 +102,19 @@ def fit_time_map(
     return LinearTimeMap(slope, intercept)
 
 
-def nearest_indices(src_times: np.ndarray, dst_times: np.ndarray) -> np.ndarray:
-    """Index of the dst timestamp nearest each src timestamp; equidistant
-    candidates resolve to the earlier dst timestamp."""
-    right = np.searchsorted(dst_times, src_times, side="left")
-    right = np.clip(right, 0, len(dst_times) - 1)
-    left = np.clip(right - 1, 0, len(dst_times) - 1)
-    d_left = np.abs(src_times - dst_times[left])
-    d_right = np.abs(src_times - dst_times[right])
-    return np.where(d_left <= d_right, left, right)
-
-
 def nearest_filter(src: SampledSeries, dst: SampledSeries) -> AlignedPair:
-    """Pair every source point with the destination point nearest in time.
+    """Pair every source point with the destination point nearest in time,
+    the earlier of two as near.
 
     Output length equals the source length; a destination point may be
     selected more than once.
     """
     if len(dst) == 0:
         raise AlignmentError("destination series is empty")
-    idx = nearest_indices(src.times, dst.times)
+    right = np.clip(np.searchsorted(dst.times, src.times), 0, len(dst) - 1)
+    left = np.clip(right - 1, 0, len(dst) - 1)
+    d_left, d_right = (np.abs(src.times - dst.times[i]) for i in (left, right))
+    idx = np.where(d_left <= d_right, left, right)
     return AlignedPair(
         times=dst.times[idx].copy(),
         source_prices=src.prices.copy(),

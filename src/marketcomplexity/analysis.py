@@ -211,6 +211,9 @@ def group_markets(
             )
         rows.append([m.values[f] for f in features])
     x = np.asarray(rows, dtype=float)
+    # before z-scoring, which would warn about an infinite feature
+    if k < len(x) and not np.isfinite(x).all():
+        raise ValueError("feature distances must be finite")
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std[std == 0] = 1.0

@@ -28,13 +28,13 @@ has moved the same way at each of its first `states` or more steps, has
 met fresh blank tape in more states than it has, so it has entered a cycle
 of states over blank tape heading the same way and can never halt: it is
 dropped unfinished.
-`run_machine` simulates one machine and is the kernel's test reference.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -77,35 +77,6 @@ class OutputDistribution:
 
     def probability(self, s: str) -> float:
         return self.counts.get(s, 0) / self.halting
-
-
-def run_machine(index: int, states: int, step_bound: int) -> str | None:
-    """Simulate one machine; returns its output string, or None if it does
-    not halt within step_bound steps. Reference implementation: the oracle
-    the lockstep kernel is tested against."""
-    base = 4 * states + 2
-    entries = []
-    m = index
-    for _ in range(2 * states):
-        entries.append(m % base)
-        m //= base
-    tape: dict[int, int] = {}
-    head = 0
-    pmin = pmax = 0
-    state = 0
-    for _ in range(step_bound):
-        sym = tape.get(head, 0)
-        v = entries[state * 2 + sym]
-        if v < 2:
-            tape[head] = v
-            return "".join(str(tape.get(p, 0)) for p in range(pmin, pmax + 1))
-        w = v - 2
-        tape[head] = w & 1
-        head += -1 if (w >> 1) & 1 == 0 else 1
-        pmin = min(pmin, head)
-        pmax = max(pmax, head)
-        state = w >> 2
-    return None
 
 
 # next entry of a halting option, clipped by the kernel to its absorbing row
@@ -241,10 +212,10 @@ def enumerate_range(
     states: int, step_bound: int, start: int, stop: int
 ) -> tuple[Counter, int]:
     """Halting-output counts over machine indices [start, stop), equal to
-    those of running every machine for up to `step_bound` steps with
-    `run_machine`: the machines that halt on their first transition are
-    counted without a step, and escapees are dropped because they never
-    halt (see `_run_batch`)."""
+    those of running every machine on its own for up to `step_bound`
+    steps: the machines that halt on their first transition are counted
+    without a step, and escapees are dropped because they never halt (see
+    `_run_batch`)."""
     if start < 0 or stop > machine_count(states) or start > stop:
         raise ValueError("invalid machine index range")
     if step_bound < 0:
@@ -313,28 +284,41 @@ def enumerate_machines(
     index ranges whose counts are summed. With `checkpoint`, each finished
     shard is written to a file next to that path; with `resume` too, shard
     files already there are read instead of enumerated again. The files
-    are removed once every shard is merged.
+    stay until `remove_checkpoints` is called, once the result is safe.
     """
     ranges = shard_ranges(states, shards)  # checks states and shards before any file
     step_bound = default_step_bound(states)
     counts: Counter = Counter()
     halting = 0
-    paths = []
     for i, (start, stop) in enumerate(ranges):
         if checkpoint is None:
             c, h = enumerate_range(states, step_bound, start, stop)
         else:
-            paths.append(_shard_path(Path(checkpoint), i, shards))
-            c, h = _checkpointed_range(paths[-1], resume, states, step_bound, start, stop)
+            path = _shard_path(Path(checkpoint), i, shards)
+            c, h = _checkpointed_range(path, resume, states, step_bound, start, stop)
         counts.update(c)
         halting += h
-    for path in paths:
-        path.unlink(missing_ok=True)
     return _distribution(counts, halting, machine_count(states), states, exhaustive=True)
+
+
+def remove_checkpoints(checkpoint: str | Path, shards: int) -> None:
+    """Delete the shard files `enumerate_machines` wrote next to `checkpoint`."""
+    for i in range(shards):
+        _shard_path(Path(checkpoint), i, shards).unlink(missing_ok=True)
 
 
 def _shard_path(out: Path, i: int, shards: int) -> Path:
     return out.with_suffix(out.suffix + f".shard{i:03d}of{shards:03d}")
+
+
+def write_replacing(path: Path, text: str) -> None:
+    """Write `text` to `path` through a temporary file beside it and `os.replace`."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _checkpointed_range(
@@ -361,7 +345,7 @@ def _checkpointed_range(
             raise ConfigError(f"stale shard checkpoint {path}")
         return counts, halting
     counts, halting = enumerate_range(states, step_bound, start, stop)
-    path.write_text(json.dumps({**meta, "halting": halting, "counts": counts}), encoding="utf-8")
+    write_replacing(path, json.dumps({**meta, "halting": halting, "counts": counts}))
     return counts, halting
 
 

@@ -14,7 +14,7 @@ from math import inf, log2
 from pathlib import Path
 
 from ..errors import TableFormatError
-from .machines import OutputDistribution
+from .machines import OutputDistribution, write_replacing
 
 # longest tabulated string; 16 gives 2**17 - 2 entries, and each further
 # bit doubles the table and its build time
@@ -65,12 +65,11 @@ class CtmTable:
         return max(map(self.values.__getitem__, _strings(length)))
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
         lines = [self.meta.header_line()]
         for s in sorted(self.values, key=lambda x: (len(x), x)):
             tag = "fallback" if s in self.fallback else "exact"
             lines.append(f"{s}\t{self.values[s]:.9f}\t{tag}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_replacing(Path(path), "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "CtmTable":

@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__, align as align_mod, encode, entropy as entropy_mod
 from . import fractal as fractal_mod, lzw as lzw_mod, returns as returns_mod
 from .analysis import compute_market_metrics, correlate_markets, report_csv
-from .bdm import CtmTable, bdm as bdm_fn, check_d_max, ctm_from_frequency, sample_machines
+from .bdm import CtmTable, bdm as bdm_fn, check_d_max, ctm_from_frequency
+from .bdm import remove_checkpoints, sample_machines
 from .errors import ConfigError, MarketComplexityError
 from .ingest import KINDS, PriceSeries, parse_csv, parse_date, serialize_csv
 
@@ -238,8 +239,11 @@ def cmd_report(args) -> int:
 
 def cmd_ctm_gen(args) -> int:
     check_d_max(args.d_max)  # before a run that can take minutes
-    if not Path(args.out).parent.is_dir():
-        raise ConfigError(f"--out: {Path(args.out).parent} is not an existing directory")
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise ConfigError(f"--out: {out.parent} is not an existing directory")
+    if out.is_dir():
+        raise ConfigError(f"--out: {out} is a directory")
     if args.budget is not None:
         if args.shards != 1 or args.resume:
             flag = "--shards" if args.shards != 1 else "--resume"
@@ -253,12 +257,14 @@ def cmd_ctm_gen(args) -> int:
         from .bdm import enumerate_machines
 
         dist = enumerate_machines(
-            args.states, shards=args.shards, checkpoint=args.out, resume=args.resume
+            args.states, shards=args.shards, checkpoint=out, resume=args.resume
         )
     table = ctm_from_frequency(dist, d_max=args.d_max)
-    table.save(args.out)
+    table.save(out)
+    if dist.exhaustive:  # the checkpoints are needed until the table is on disk
+        remove_checkpoints(out, args.shards)
     how = f"{dist.halting // 2} halting machines" if dist.exhaustive else "sampled"
-    print(f"wrote {Path(args.out)} ({len(table.values)} entries, {how})")
+    print(f"wrote {out} ({len(table.values)} entries, {how})")
     return 0
 
 

@@ -64,6 +64,16 @@ def hw_area(g: UnitGridSeries, l: int) -> float:
     return float(l * increments.sum() / n)
 
 
+def _areas(g: UnitGridSeries, L: int) -> list[float]:
+    """A(l/n) for the scales l = 1..L, none of which may be zero."""
+    areas = [hw_area(g, l) for l in range(1, L + 1)]
+    if 0 in areas:
+        raise DegenerateSeriesError(
+            f"zero increment area at scale l={areas.index(0) + 1}; dimension undefined"
+        )
+    return areas
+
+
 def _clamp(raw: float) -> float:
     upper = np.nextafter(2.0, 1.0)
     return float(min(max(raw, 1.0), upper))
@@ -75,13 +85,7 @@ def hall_wood_dimension(g: UnitGridSeries) -> DimensionEstimate:
     Degenerate series (zero area at either scale) raise rather than
     returning NaN.
     """
-    a1 = hw_area(g, 1)
-    a2 = hw_area(g, 2)
-    if a1 == 0 or a2 == 0:
-        scale = 1 if a1 == 0 else 2
-        raise DegenerateSeriesError(
-            f"zero increment area at scale l={scale}; dimension undefined"
-        )
+    a1, a2 = _areas(g, 2)
     raw = 2.0 - log(a2 / a1) / log(2.0)
     return DimensionEstimate(raw=raw, value=_clamp(raw))
 
@@ -95,12 +99,7 @@ def hall_wood_ols(g: UnitGridSeries, L: int) -> float:
     n = g.n
     if L > n // 2:
         raise ValueError(f"L={L} exceeds floor(n/2)={n // 2}")
-    areas = np.array([hw_area(g, l) for l in range(1, L + 1)])
-    if np.any(areas == 0):
-        bad = int(np.argmin(areas)) + 1
-        raise DegenerateSeriesError(
-            f"zero increment area at scale l={bad}; dimension undefined"
-        )
+    areas = _areas(g, L)
     s = np.log(np.arange(1, L + 1) / n)
     s_bar = s.mean()
     slope = np.sum((s - s_bar) * np.log(areas)) / np.sum((s - s_bar) ** 2)

@@ -182,6 +182,13 @@ def format_number(v: float) -> str:
     return str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
 
 
+def numeric_csv(header: str, *columns: np.ndarray) -> str:
+    """The `header` line, then a line per row of the equal-length `columns`,
+    each cell its value's `repr`."""
+    rows = zip(*[map(repr, c.tolist()) for c in columns])
+    return "\n".join([header, *map(",".join, rows), ""])
+
+
 def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
     """Parse `date,price` lines into a validated PriceSeries.
 

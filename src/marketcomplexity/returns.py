@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeriesError
-from .ingest import PriceSeries
+from .ingest import PriceSeries, numeric_csv
 
 # far above what real-looking series need (tier-1's largest is about 1 150
 # bins, for 7 returns) and far below what would exhaust memory
@@ -45,14 +45,11 @@ class HistogramSpec:
             raise ValueError("expected_counts length mismatch")
 
     def to_csv(self) -> str:
-        edges = np.asarray(self.bin_edges, dtype=float).tolist()
-        rows = zip(
-            edges[:-1], edges[1:],
-            np.asarray(self.observed_counts).astype(int).tolist(),
-            np.asarray(self.expected_counts, dtype=float).tolist(),
-        )
-        return "bin_lo,bin_hi,observed,expected\n" + "".join(
-            [f"{lo!r},{hi!r},{obs},{exp!r}\n" for lo, hi, obs, exp in rows]
+        edges = np.asarray(self.bin_edges, dtype=float)
+        return numeric_csv(
+            "bin_lo,bin_hi,observed,expected", edges[:-1], edges[1:],
+            np.asarray(self.observed_counts).astype(int),
+            np.asarray(self.expected_counts, dtype=float),
         )
 
 

@@ -160,6 +160,7 @@ class TestGroupingMatchesScipy:
     @given(st.data())
     def test_partitions_equal_scipy(self, data):
         from scipy.cluster.hierarchy import fcluster, linkage
+        from scipy.spatial.distance import pdist
 
         n = data.draw(st.integers(2, 40), label="n")
         f = data.draw(st.integers(1, 16), label="f")
@@ -175,7 +176,9 @@ class TestGroupingMatchesScipy:
         markets, feats = simple_markets(dict(zip(ids, x.tolist())))
         std = x.std(axis=0)
         std[std == 0] = 1.0
-        tree = linkage((x - x.mean(axis=0)) / std, method="complete")
+        # condensed distances, which `linkage` would compute from the
+        # observations, so that no square symmetric draw reads as a matrix
+        tree = linkage(pdist((x - x.mean(axis=0)) / std), method="complete")
         for k in range(1, n + 1):
             labels = fcluster(tree, t=k, criterion="maxclust")
             expected = sorted(
@@ -205,6 +208,7 @@ class TestGroupingMatchesScipy:
         markets, feats = simple_markets({"A": [1, 1], "B": [1, 1], "C": [2, 5], "D": [2, 5]})
         assert group_markets(markets, feats, 4) == [["A"], ["B"], ["C"], ["D"]]
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_feature_rejected(self, bad):
         markets, feats = simple_markets({"A": [1, bad], "B": [2, 0], "C": [3, 1]})

@@ -332,6 +332,84 @@ class TestCtmGen:
         assert out.read_bytes() == ref.read_bytes()
         assert not list(tmp_path.glob("*.shard*"))
 
+    def test_failed_table_write_keeps_checkpoints(self, tmp_path, capsys, monkeypatch):
+        from marketcomplexity.bdm import machines
+
+        ref = tmp_path / "ref.tsv"
+        assert main(["ctm-gen", "--states", "2", "--out", str(ref)]) == 0
+
+        def full(self, path):
+            raise OSError("No space left on device")
+
+        out = tmp_path / "t.tsv"
+        argv = ["ctm-gen", "--states", "2", "--out", str(out), "--shards", "3"]
+        with monkeypatch.context() as m:
+            m.setattr(CtmTable, "save", full)
+            assert main(argv) == 2
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.tsv"] + [
+            f"t.tsv.shard{i:03d}of003" for i in range(3)
+        ]
+
+        # every shard is read back, none enumerated again
+        monkeypatch.setattr(machines, "enumerate_range", None)
+        assert main(argv + ["--resume"]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.tsv", "t.tsv"]
+
+    def test_failed_checkpoint_replace_leaves_no_partial_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from marketcomplexity.bdm import machines
+
+        ref = tmp_path / "ref.tsv"
+        assert main(["ctm-gen", "--states", "2", "--out", str(ref)]) == 0
+
+        # the second shard's checkpoint fails as it is moved into place
+        real, moved = machines.os.replace, []
+
+        def failing(src, dst):
+            moved.append(dst)
+            if len(moved) == 2:
+                raise OSError("replace failed")
+            real(src, dst)
+
+        out = tmp_path / "t.tsv"
+        argv = ["ctm-gen", "--states", "2", "--out", str(out), "--shards", "3"]
+        with monkeypatch.context() as m:
+            m.setattr(machines.os, "replace", failing)
+            assert main(argv) == 2
+        assert capsys.readouterr().err == "error: replace failed\n"
+        assert moved[1] == _shard_path(out, 1, 3)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.tsv", "t.tsv.shard000of003"]
+
+        calls = []
+        real_range = machines.enumerate_range
+
+        def counted(*args):
+            calls.append(args)
+            return real_range(*args)
+
+        monkeypatch.setattr(machines, "enumerate_range", counted)
+        assert main(argv + ["--resume"]) == 0
+        assert [c[2] for c in calls] == [s for s, _ in shard_ranges(2, 3)[1:]]
+        assert out.read_bytes() == ref.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.tsv", "t.tsv"]
+
+    def test_failed_table_replace_keeps_the_old_table(self, tmp_path, capsys, monkeypatch):
+        from marketcomplexity.bdm import machines
+
+        out = tmp_path / "t.tsv"
+        out.write_text("an earlier table\n", encoding="utf-8")
+
+        def failing(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(machines.os, "replace", failing)
+        assert main(["ctm-gen", "--states", "1", "--out", str(out), "--budget", "5"]) == 2
+        assert out.read_text(encoding="utf-8") == "an earlier table\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
+
     def test_stale_checkpoint_rejected(self, tmp_path, capsys):
         out = tmp_path / "ctm.tsv"
         shard = {"states": 2, "step_bound": 6, "start": 7, "stop": 9, "halting": 1}

@@ -18,11 +18,39 @@ from marketcomplexity.bdm.machines import (
     enumerate_machines,
     enumerate_range,
     machine_count,
-    run_machine,
     sample_machines,
     shard_ranges,
     symmetrize_counts,
 )
+
+
+def run_machine(index: int, states: int, step_bound: int) -> str | None:
+    """Simulate one machine; returns its output string, or None if it does
+    not halt within step_bound steps. Reference implementation: the oracle
+    the lockstep kernel is tested against."""
+    base = 4 * states + 2
+    entries = []
+    m = index
+    for _ in range(2 * states):
+        entries.append(m % base)
+        m //= base
+    tape: dict[int, int] = {}
+    head = 0
+    pmin = pmax = 0
+    state = 0
+    for _ in range(step_bound):
+        sym = tape.get(head, 0)
+        v = entries[state * 2 + sym]
+        if v < 2:
+            tape[head] = v
+            return "".join(str(tape.get(p, 0)) for p in range(pmin, pmax + 1))
+        w = v - 2
+        tape[head] = w & 1
+        head += -1 if (w >> 1) & 1 == 0 else 1
+        pmin = min(pmin, head)
+        pmax = max(pmax, head)
+        state = w >> 2
+    return None
 
 
 class TestEnsembleSize:

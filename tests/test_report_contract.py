@@ -487,22 +487,26 @@ def test_ctm_gen_checks_d_max_before_any_machine(tmp_path, capsys, monkeypatch, 
         (["--states", "3", "--out", "gone/c3.tsv"], "--out: gone is not an existing directory"),
         (["--states", "4", "--budget", "300000", "--out", "gone/c4.tsv"],
          "--out: gone is not an existing directory"),
+        (["--states", "2", "--shards", "3", "--out", "odir"], "--out: odir is a directory"),
+        (["--states", "4", "--budget", "10", "--out", "odir"], "--out: odir is a directory"),
     ],
 )
 def test_ctm_gen_flags_refused_before_any_machine(tmp_path, capsys, monkeypatch, run, error):
     """A flag the chosen mode would never read, a state or shard count out
-    of range, or an --out in a missing directory is refused before any
-    machine runs or any file is written."""
+    of range, or an --out in a missing directory or naming a directory is
+    refused before any machine runs or any file is written."""
 
     def never(*args, **kwargs):
         raise AssertionError("machines ran before the flags were checked")
 
     monkeypatch.setattr("marketcomplexity.bdm.machines._run_batch", never)
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "odir").mkdir()
     # an --out in `run` comes last, so it replaces this one
     assert main(["ctm-gen", "--out", "t.tsv", *run]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["odir"]
+    assert list((tmp_path / "odir").iterdir()) == []
 
 
 @pytest.mark.parametrize(
