@@ -211,11 +211,12 @@ def group_markets(
             )
         rows.append([m.values[f] for f in features])
     x = np.asarray(rows, dtype=float)
-    # before z-scoring, which would warn about an infinite feature
-    if k < len(x) and not np.isfinite(x).all():
+    with np.errstate(all="ignore"):
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)
+    # NaN, an infinity or an overflowing mean or square leaves std not finite
+    if not np.isfinite(std).all():
         raise ValueError("feature distances must be finite")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
     std[std == 0] = 1.0
     labels = _complete_linkage_cut((x - mean) / std, k)
     groups: dict[int, list[str]] = {}
@@ -234,14 +235,14 @@ def _complete_linkage_cut(z: np.ndarray, k: int) -> np.ndarray:
     with the larger of their distances. The cut applies every merge at or
     below the (n-k)-th smallest height. Distances sum the features in
     `pdist`'s order, so ties fall the same way. Non-finite distances raise
-    ValueError, unless k == n and nothing merges.
+    ValueError.
     """
     n = len(z)
     d = np.zeros((n, n))
     for col in z.T:
         d += (col[:, None] - col) ** 2
     d = np.sqrt(d)
-    if k < n and not np.isfinite(d).all():
+    if not np.isfinite(d).all():
         raise ValueError("feature distances must be finite")
     active = np.ones(n, dtype=bool)
     merges, chain = [], []

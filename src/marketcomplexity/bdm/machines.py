@@ -47,16 +47,14 @@ from ..errors import ConfigError
 # Maximal steps of any halting n-state 2-colour machine from a blank tape.
 KNOWN_STEP_BOUNDS = {1: 1, 2: 6, 3: 21, 4: 107}
 
-MAX_EXHAUSTIVE_STATES = 4
-
 # machines stepped together by one kernel call; bounds the kernel's memory
 BATCH = 1 << 14
 
 
 def machine_count(states: int) -> int:
     """(4*states + 2) ** (2*states) machines in the ensemble."""
-    if not 1 <= states <= MAX_EXHAUSTIVE_STATES:
-        raise ValueError(f"states must be in 1..{MAX_EXHAUSTIVE_STATES}")
+    if states not in KNOWN_STEP_BOUNDS:
+        raise ValueError("states must be in 1..4")
     return (4 * states + 2) ** (2 * states)
 
 
@@ -268,6 +266,8 @@ def shard_ranges(states: int, shards: int) -> list[tuple[int, int]]:
     total = machine_count(states)
     if shards < 1:
         raise ValueError("shards must be at least 1")
+    if shards > total:
+        raise ValueError(f"shards must be at most {total}, the machine count")
     bounds = np.linspace(0, total, shards + 1, dtype=np.int64)
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 

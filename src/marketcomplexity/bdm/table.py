@@ -24,14 +24,13 @@ D_MAX_LIMIT = 16
 @dataclass(frozen=True)
 class CtmMeta:
     states: int
-    colors: int
     step_bound: int
     machines: int
     mode: str  # "exhaustive" or "sampled"
 
     def header_line(self) -> str:
         return (
-            f"# states={self.states} colors={self.colors} "
+            f"# states={self.states} colors=2 "
             f"step_bound={self.step_bound} machines={self.machines} "
             f"mode={self.mode}"
         )
@@ -123,16 +122,16 @@ def _parse_header(line: str, path) -> CtmMeta:
         key, val = token.split("=", 1)
         fields[key] = val
     try:
+        states, colors = int(fields["states"]), int(fields["colors"])
         meta = CtmMeta(
-            states=int(fields["states"]),
-            colors=int(fields["colors"]),
+            states=states,
             step_bound=int(fields["step_bound"]),
             machines=int(fields["machines"]),
             mode=fields["mode"],
         )
     except (KeyError, ValueError) as exc:
         raise TableFormatError(f"{path}: incomplete header: {exc}")
-    if meta.colors != 2:
+    if colors != 2:
         raise TableFormatError(f"{path}: only 2-colour tables are supported")
     if meta.mode not in ("exhaustive", "sampled"):
         raise TableFormatError(f"{path}: invalid mode {meta.mode!r}")
@@ -175,7 +174,6 @@ def ctm_from_frequency(dist: OutputDistribution, d_max: int | None = None) -> Ct
         fallback.update(s for s in strings if s not in exact)
     meta = CtmMeta(
         states=dist.states,
-        colors=2,
         step_bound=dist.step_bound,
         machines=dist.machines,
         mode="exhaustive" if dist.exhaustive else "sampled",

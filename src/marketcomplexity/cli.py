@@ -26,20 +26,23 @@ from .errors import ConfigError, MarketComplexityError
 from .ingest import KINDS, PriceSeries, parse_csv, parse_date, serialize_csv
 
 
+def _read(path: str, what: str) -> bytes:
+    """The bytes of the file at `path`; failing that, a ConfigError naming it `what`."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+
+
 def _read_series(path: str, id: str = "", kind: str = "stock index") -> PriceSeries:
     """A price file as a series named `id`, or after the file's stem."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"input file not found: {path}")
-    try:
-        data = p.read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read input file {path}: {exc}")
-    return parse_csv(data, id=id or p.stem, kind=kind)
+    return parse_csv(_read(path, "input file"), id=id or Path(path).stem, kind=kind)
 
 
-def _file_header(config_hash: str = "none") -> str:
-    return f"# marketcomplexity {__version__} config={config_hash}\n"
+def _write(path: str | Path, text: str, config_hash: str = "none") -> None:
+    """Write `text` under a first line naming the version and the config."""
+    header = f"# marketcomplexity {__version__} config={config_hash}\n"
+    Path(path).write_text(header + text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +75,6 @@ class RunConfig:
                 raise ConfigError(f"market {id!r}: id must be a plain file name")
             if kind not in KINDS:
                 raise ConfigError(f"market {id!r}: unknown kind {kind!r}")
-            if not Path(path).exists():
-                raise ConfigError(f"market {id!r}: file not found: {path}")
         written = {}
         for a, b in self.pairs:
             if a not in ids or b not in ids:
@@ -85,8 +86,6 @@ class RunConfig:
             written[name] = f"{a},{b}"
         if self.window_start and self.window_end and self.window_start >= self.window_end:
             raise ConfigError("window.start must precede window.end")
-        if self.bdm_table and not Path(self.bdm_table).exists():
-            raise ConfigError(f"bdm.table file not found: {self.bdm_table}")
         if self.max_block < 1 or self.bdm_d < 1 or self.fractal_L < 2:
             raise ConfigError("invalid analysis parameters")
         if self.bdm_overlap is not None and not 1 <= self.bdm_overlap <= self.bdm_d:
@@ -99,13 +98,10 @@ def _aligned_name(src_id: str, dst_id: str) -> str:
 
 def parse_config(path: str) -> RunConfig:
     """Flat `key = value` config file; only `market` and `pair` keys repeat."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+    raw = _read(path, "config file")
     try:
-        raw = p.read_bytes()
         text = raw.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     cfg = RunConfig(config_hash=hashlib.sha256(raw).hexdigest()[:12])
     given = set()
@@ -173,14 +169,12 @@ def cmd_report(args) -> int:
     if args.output_dir:
         cfg.output_dir = args.output_dir
     cfg.validate()
+    series = {id: _read_series(path, id, kind) for id, kind, path in cfg.markets}
     table = CtmTable.load(cfg.bdm_table) if cfg.bdm_table else _default_table()
     if cfg.bdm_d > table.d_max:
         raise ConfigError(f"bdm.d={cfg.bdm_d} exceeds table coverage d_max={table.d_max}")
-    series = {id: _read_series(path, id, kind) for id, kind, path in cfg.markets}
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    header = _file_header(cfg.config_hash)
 
     rows = []
     failures = []
@@ -196,12 +190,10 @@ def cmd_report(args) -> int:
             hw_L=cfg.fractal_L,
         )
         if m.histogram is not None:
-            (outdir / f"{id}_hist.csv").write_text(
-                header + m.histogram.to_csv(), encoding="utf-8"
-            )
+            _write(outdir / f"{id}_hist.csv", m.histogram.to_csv(), cfg.config_hash)
         rows.append(m)
         failures.extend((id, name, reason) for name, reason in sorted(m.failures.items()))
-    (outdir / "report.csv").write_text(header + report_csv(rows), encoding="utf-8")
+    _write(outdir / "report.csv", report_csv(rows), cfg.config_hash)
 
     for src_id, dst_id in cfg.pairs:
         name = _aligned_name(src_id, dst_id)
@@ -209,12 +201,11 @@ def cmd_report(args) -> int:
             src, dst = series[src_id], series[dst_id]
             anchors = align_mod.peak_anchors(src), align_mod.peak_anchors(dst)
             pair = align_mod.align(src.sampled(), dst.sampled(), *anchors)
-            (outdir / name).write_text(header + pair.to_csv(), encoding="utf-8")
+            _write(outdir / name, pair.to_csv(), cfg.config_hash)
         except MarketComplexityError as exc:
             failures.append((f"{src_id}__{dst_id}", "alignment", str(exc)))
 
-    lines = [header.rstrip("\n")]
-    lines.append(f"markets={len(cfg.markets)}")
+    lines = [f"markets={len(cfg.markets)}"]
     if cfg.window_start:
         lines.append(f"window.start={cfg.window_start.date().isoformat()}")
     if cfg.window_end:
@@ -230,7 +221,7 @@ def cmd_report(args) -> int:
             lines.append(f"  {id} {metric}: {reason}")
     else:
         lines.append("failures: none")
-    (outdir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(outdir / "report.txt", "\n".join(lines) + "\n", cfg.config_hash)
 
     for id, metric, reason in failures:
         print(f"warning: {id} {metric}: {reason}", file=sys.stderr)
@@ -271,7 +262,7 @@ def cmd_ctm_gen(args) -> int:
 def cmd_ingest(args, s: PriceSeries) -> int:
     text = serialize_csv(s)
     if args.out:
-        Path(args.out).write_text(_file_header() + text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -283,7 +274,7 @@ def cmd_align(args, src: PriceSeries, dst: PriceSeries) -> int:
     pair = align_mod.align(src.sampled(), dst.sampled(), *anchors)
     print(f"slope={m.slope!r} intercept={m.intercept!r} points={len(pair)}")
     if args.out:
-        Path(args.out).write_text(_file_header() + pair.to_csv(), encoding="utf-8")
+        _write(args.out, pair.to_csv())
     return 0
 
 
@@ -296,7 +287,7 @@ def cmd_returns(args, s: PriceSeries) -> int:
     )
     if args.hist_out:
         hist = returns_mod.build_histogram(logret, st)
-        Path(args.hist_out).write_text(_file_header() + hist.to_csv(), encoding="utf-8")
+        _write(args.hist_out, hist.to_csv())
     return 0
 
 

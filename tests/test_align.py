@@ -26,6 +26,10 @@ def sampled(times, prices, id="S"):
 
 
 class TestDetectPeaks:
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            detect_peaks(daily_series([1, 3, 1, 5, 1]), 0)
+
     def test_exhaustive_scan_example(self):
         s = daily_series([1, 3, 1, 5, 1])
         peaks = detect_peaks(s, 2)
@@ -165,6 +169,10 @@ class TestNearestFilter:
         pair = nearest_filter(src, dst)
         assert pair.times[0] == 40  # equidistant, earlier wins
 
+    def test_one_point_source_error(self):
+        with pytest.raises(AlignmentError, match="at least 2 points"):
+            nearest_filter(sampled([1], [1]), sampled([1, 2], [1, 1]))
+
     def test_empty_destination_error(self):
         with pytest.raises(AlignmentError, match="destination series is empty"):
             nearest_filter(sampled([1, 2], [1, 1]), sampled([], []))
@@ -209,6 +217,15 @@ class TestSampledSeries:
     def test_out_of_order_rejected(self):
         with pytest.raises(ValueError, match="order"):
             sampled([1, 3, 2], [1, 1, 1])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="times and prices length mismatch"):
+            sampled([1, 2, 3], [1, 1])
+
+
+def test_aligned_pair_lengths_must_match():
+    with pytest.raises(ValueError, match="aligned pair arrays must have equal length"):
+        AlignedPair(np.arange(3.0), np.ones(3), np.ones(2))
 
 
 def test_aligned_csv_matches_per_row_loop():

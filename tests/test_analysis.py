@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +57,10 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson_correlation([1, 2], [1, 2, 3])
+
+    def test_single_sample(self):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            pearson_correlation([1.0], [2.0])
 
     def test_zero_variance(self):
         with pytest.raises(DegenerateSeriesError):
@@ -138,6 +144,11 @@ class TestGrouping:
         with pytest.raises(MarketComplexityError):
             group_markets(markets, feats, 2)
 
+    def test_k_below_one(self):
+        markets, feats = simple_markets({"A": [1], "B": [2]})
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            group_markets(markets, feats, 0)
+
     def test_k_exceeds_markets(self):
         markets, feats = simple_markets({"A": [1], "B": [2]})
         with pytest.raises(ValueError):
@@ -209,11 +220,35 @@ class TestGroupingMatchesScipy:
         assert group_markets(markets, feats, 4) == [["A"], ["B"], ["C"], ["D"]]
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_feature_rejected(self, bad):
-        markets, feats = simple_markets({"A": [1, bad], "B": [2, 0], "C": [3, 1]})
-        with pytest.raises(ValueError):
-            group_markets(markets, feats, 2)
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [float("nan"), 0, 1],
+            [float("inf"), 0, 1],
+            [-float("inf"), 0, 1],
+            [1.7e308, 1.7e308, -1.7e308],  # the mean overflows
+            [1.7e308, -1.7e308, 0],  # the squares overflow
+        ],
+        ids=["nan", "inf", "-inf", "mean-overflows", "square-overflows"],
+    )
+    def test_non_finite_feature_rejected(self, column):
+        markets, feats = simple_markets(
+            {id: [i, v] for i, (id, v) in enumerate(zip("ABC", column))}
+        )
+
+        def hang(signum, frame):
+            raise AssertionError("group_markets did not return")
+
+        # a chain over non-finite distances never ends; fail instead of hanging
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            for k in (2, 3):
+                with pytest.raises(ValueError, match="feature distances must be finite"):
+                    group_markets(markets, feats, k)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
 
 
 class TestMetricReport:

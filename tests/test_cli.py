@@ -520,7 +520,7 @@ class TestReportConfig:
         cfg = parse_config(write_config(tmp_path, f"# one key\n{line}\n"))
         assert getattr(cfg, field) == value
 
-    # `bdm.table` and `output.dir` take any text; `validate` checks the paths
+    # `bdm.table` and `output.dir` take any text; the code that uses a path checks it
     @pytest.mark.parametrize(
         "line, error",
         [

@@ -137,6 +137,11 @@ class TestOls:
         ]
         assert np.mean(dims) == pytest.approx(1.7, abs=0.07)
 
+    @pytest.mark.parametrize("hurst", [0.0, 1.0])
+    def test_fbm_hurst_out_of_range(self, hurst):
+        with pytest.raises(ValueError, match=r"hurst must lie in \(0, 1\)"):
+            fbm(10, hurst, np.random.default_rng(0))
+
     def test_L_too_small(self):
         g = UnitGridSeries.from_values(np.arange(20, dtype=float))
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from marketcomplexity import ingest
 from marketcomplexity.errors import CsvParseError, SeriesTooShortError
 from marketcomplexity.ingest import (
     EPOCH,
+    PricePoint,
     PriceSeries,
     epoch_us,
     parse_csv,
@@ -73,6 +74,10 @@ class TestParseDate:
     def test_iso_datetime(self):
         got = parse_date("2013-04-09T12:30:00")
         assert got == datetime(2013, 4, 9, 12, 30, tzinfo=timezone.utc)
+
+    def test_z_suffix_is_utc(self):
+        # `datetime.fromisoformat` reads "Z" from Python 3.11 on
+        assert parse_date("2013-01-01T00:00Z") == parse_date("2013-01-01T00:00+00:00")
 
     @pytest.mark.parametrize("bad", ["04-09-2013", "2013/04/09", "9/4/2013", "hello"])
     def test_other_formats_rejected(self, bad):
@@ -204,6 +209,10 @@ class TestColumnarSeries:
         """The rule of the CSV reader: a close is positive and finite."""
         with pytest.raises(ValueError, match=re.escape(message)):
             PriceSeries("X", "stock index", [0, ingest.DAY_US], prices)
+
+    def test_point_price_positive(self):
+        with pytest.raises(ValueError, match="price must be positive, got 0.0"):
+            PricePoint(EPOCH, 0.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

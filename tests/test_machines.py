@@ -198,6 +198,11 @@ class TestKernelAgainstReference:
         with pytest.raises(ValueError):
             enumerate_range(2, -1, 0, 10)
 
+    @pytest.mark.parametrize("start, stop", [(-1, 10), (0, 10_001), (11, 10)])
+    def test_invalid_index_range(self, start, stop):
+        with pytest.raises(ValueError, match="invalid machine index range"):
+            enumerate_range(2, 6, start, stop)
+
 
 def option(write, right, state):
     """The working option that writes `write`, moves right if `right` (else
@@ -450,6 +455,8 @@ class TestEnumerate:
         assert ranges[-1][1] == machine_count(2)
         for (_, a), (b, _) in zip(ranges, ranges[1:]):
             assert a == b
+        # as many shards as machines, the most `shard_ranges` accepts
+        assert shard_ranges(1, 36) == [(i, i + 1) for i in range(36)]
 
 
 class TestSampled:

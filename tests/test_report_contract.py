@@ -489,6 +489,9 @@ def test_ctm_gen_checks_d_max_before_any_machine(tmp_path, capsys, monkeypatch, 
          "--out: gone is not an existing directory"),
         (["--states", "2", "--shards", "3", "--out", "odir"], "--out: odir is a directory"),
         (["--states", "4", "--budget", "10", "--out", "odir"], "--out: odir is a directory"),
+        (["--states", "1", "--shards", "37"], "shards must be at most 36, the machine count"),
+        (["--states", "2", "--shards", "1000000000000"],
+         "shards must be at most 10000, the machine count"),
     ],
 )
 def test_ctm_gen_flags_refused_before_any_machine(tmp_path, capsys, monkeypatch, run, error):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,17 @@ class TestHistogram:
         x = log_returns(daily_series(prices))
         with pytest.raises(DegenerateSeriesError, match="Freedman-Diaconis binning asks for"):
             build_histogram(x)
+
+    @pytest.mark.parametrize(
+        "edges, observed, expected, message",
+        [
+            (4, 2, 2, "observed_counts length must be len(bin_edges) - 1"),
+            (3, 2, 3, "expected_counts length mismatch"),
+        ],
+    )
+    def test_spec_lengths_must_match(self, edges, observed, expected, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HistogramSpec(np.arange(float(edges)), np.zeros(observed), np.zeros(expected))
 
     def test_given_stats_are_used(self):
         x = np.random.default_rng(11).standard_normal(300)

@@ -74,6 +74,17 @@ class TestCtmFromFrequency:
             for f in fallback:
                 assert f == pytest.approx(base + 1.0)
 
+    def test_empty_distribution_rejected(self):
+        with pytest.raises(ValueError, match="distribution is empty"):
+            ctm_from_frequency(tiny_dist({}))
+
+    def test_lookups_beyond_d_max_rejected(self, table2):
+        with pytest.raises(KeyError, match=rf"not covered by table \(d_max={table2.d_max}\)"):
+            table2.k("0" * (table2.d_max + 1))
+        for length in (0, table2.d_max + 1):
+            with pytest.raises(KeyError, match=f"table has no entries of length {length}"):
+                table2.max_k(length)
+
     def test_covers_every_string_up_to_d_max(self, table2):
         for length in range(1, table2.d_max + 1):
             for v in range(1 << length):
