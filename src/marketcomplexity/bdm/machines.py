@@ -20,14 +20,16 @@ few row gathers; a tape cell's nonzero mark holds its bit and records a
 visit; halting entries lead to a shared absorbing row.
 So the step loop neither tracks visited bounds nor tests for halts.
 
-Two reductions of Soler-Toscano, Zenil, Delahaye & Gauvrit (PLoS ONE 2014)
-cut the work of the step loop, and neither can change a count. A
-machine whose entry for (state 0, blank) halts writes one bit at step 1 and
-stops: it is counted in closed form from that entry. An escapee, whose head
-has moved the same way at each of its first `states` or more steps, has
-met fresh blank tape in more states than it has, so it has entered a cycle
-of states over blank tape heading the same way and can never halt: it is
-dropped unfinished.
+One reduction of Soler-Toscano, Zenil, Delahaye & Gauvrit (PLoS ONE 2014)
+cuts the work of the step loop, and it cannot change a count: machines are
+decided on blank tape. While its head keeps moving one way over blank
+cells, a machine reads only its entries for (state, blank), so one table
+over their values gives its fate when its index is decoded. One that halts
+there is counted in closed form, with its output. An escapee, whose head
+moves `states` cells one way, has met fresh blank tape in more states than
+it has, so it has entered a cycle of states over blank tape heading the
+same way and can never halt: it is dropped. Only a machine whose head
+turns back onto a cell it wrote is stepped.
 """
 
 from __future__ import annotations
@@ -100,11 +102,11 @@ def _group_tables(states: int) -> tuple:
     """Lists of tables, one per group of at most 3 consecutive index digits,
     indexed by its value: its entries' mark written, head move and next
     entry in the row layout of `_entry_tables` (zeros in other groups'
-    columns), and 1 if it holds a halting entry; the last row is the
-    absorbing row's, with 1. Then, by the first group's value, 1 + the bit
-    that a halting entry for (state 0, blank) writes, or 0."""
+    columns), 1 if it holds a halting entry, and its share of the index of
+    `_chains`; the last row is the absorbing row's, with 1 and shares that
+    sum to the last index of `_chains`."""
     base, digits = 4 * states + 2, 2 * states
-    tables = [], [], [], []
+    tables = [], [], [], [], []
     for lo in range(0, digits, 3):
         es = range(lo, min(lo + 3, digits))
         d = np.arange(base ** len(es))[:, None] // base ** np.arange(len(es)) % base
@@ -116,8 +118,36 @@ def _group_tables(states: int) -> tuple:
             table.append(np.zeros((len(v), 3 * states), dtype=option.dtype))
             table[-1][:, list(cols)] = option[v]
         tables[3].append(np.append((d < 2).any(axis=1), True).astype(np.uint8))
-    d = np.arange(len(tables[3][0]) - 1) % base  # options 0 and 1 write that bit and halt
-    return *tables, np.append(np.where(d < 2, d + 1, 0), 0).astype(np.uint8)
+        blank = np.arange(lo + lo % 2, es.stop, 2)  # its digits e of entries (e // 2, blank)
+        share = d[:, blank - lo] @ base ** (blank // 2)
+        tables[4].append(np.append(share, base**states if lo == 0 else 0))
+    return tables
+
+
+@functools.cache
+def _chains(states: int) -> np.ndarray:
+    """Fate on blank tape of every machine, indexed by the sum over states
+    s of its entry for (s, blank) times (4*states + 2) ** s: 1 followed by
+    its j output bits if it halts at step j while its head moves one way, 0
+    if its head moves `states` cells one way (an escapee), and 1 if its
+    head turns back onto a cell it wrote before either. The last entry, 1,
+    is the absorbing row's."""
+    # d[s] is the entry for (s, blank), by index; uint8 keeps the 4-state build small
+    d = np.indices((4 * states + 2,) * states, dtype=np.uint8)[::-1].reshape(states, -1)
+    fate = np.zeros(d.shape[1], dtype=np.uint8)
+    live = np.ones(d.shape[1], dtype=bool)
+    heading = d[0] - 2 & 2  # the move of step 1, kept while no step turns back
+    cols, state, right, left = np.arange(d.shape[1]), 0, 0, 0
+    for j in range(states):  # step j + 1 reads the blank cell j cells from the start
+        v = d[state, cols]
+        # the bits written so far, in tape order if heading right or left
+        right, left = right << 1 | v & 1, left | (v & 1) << j
+        fate[live] = np.where(
+            v < 2, 1 << j + 1 | np.where(heading, right, left), v - 2 & 2 != heading
+        )[live]
+        live &= fate == 0
+        state = np.maximum(v, 2) - 2 >> 2
+    return np.append(fate, np.uint8(1))
 
 
 def _gathered(tables: list, g: np.ndarray) -> np.ndarray:
@@ -129,15 +159,16 @@ def _gathered(tables: list, g: np.ndarray) -> np.ndarray:
 
 
 def _entry_tables(states: int, step_bound: int, m: np.ndarray) -> tuple:
-    """Mark written, head move and next entry of every entry of the machines
-    `m` that have a halting entry but do not halt on their first transition,
-    in rows of three per state read at the mark under the head, then the
-    absorbing row; their first entries; and the numbers of machines with
-    the outputs "0" and "1" among those left out because their entry for
-    (state 0, blank) halts, as two ints: they write one bit and stop at
-    step 1 if step_bound >= 1. A machine's rows in the `_group_tables` of
-    its digit groups fill disjoint columns, so or-ed they make its row."""
-    *tables, halt, first = _group_tables(states)
+    """Decodes the machines `m` and decides on blank tape all but those
+    that turn back first (see `_chains`). Returns the mark written, head
+    move and next entry of every entry of the turn-back machines that have
+    a halting entry, in rows of three per state read at the mark under the
+    head, then the absorbing row; their first entries; and the outputs of
+    the machines that halt on blank tape by step `step_bound`, counted in a
+    dict without zero counts. The rest of `m` never halts within
+    `step_bound` steps. A machine's rows in the `_group_tables` of its
+    digit groups fill disjoint columns, so or-ed they make its row."""
+    *tables, halt, share = _group_tables(states)
     # the digit groups' values by scalar floor division, then the absorbing rows
     g = np.empty((len(halt), len(m) + 1), dtype=np.int64)
     g[:, -1] = sizes = [len(h) - 1 for h in halt]
@@ -146,10 +177,12 @@ def _entry_tables(states: int, step_bound: int, m: np.ndarray) -> tuple:
         q = np.floor_divide(rest, size, out=g[i + 1, :-1])
         np.subtract(rest, q * size, out=g[i, :-1])
         rest = q
-    f = first.take(g[0])
-    halts = np.bincount(f, minlength=3)[1:].tolist() if step_bound else [0, 0]
-    # step the machines with a halting entry whose first transition does not halt
-    g = g.take((_gathered(halt, g) > f).nonzero()[0], axis=1)
+    fate = _chains(states).take(sum(map(np.take, share, g)))
+    # the codes of the halts by step `step_bound` lie below 2 << step_bound
+    found = np.bincount(fate)[2 : 2 << min(step_bound, states)].tolist()
+    halts = {format(c, "b")[1:]: n for c, n in enumerate(found, 2) if n}
+    # step those that turn back and have a halting entry, and the absorbing row
+    g = g.take((_gathered(halt, g) & (fate == 1)).nonzero()[0], axis=1)
     write, move, nxt = (_gathered(t, g) for t in tables)
     rows = np.arange(0, nxt.size, 3 * states)
     nxt += rows[:, None]
@@ -157,22 +190,18 @@ def _entry_tables(states: int, step_bound: int, m: np.ndarray) -> tuple:
     return write.ravel(), move.ravel(), nxt.ravel(), rows[:-1], halts
 
 
-def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Lockstep kernel: steps the machines with the int64 indices `m` at once
-    on rows of one flat tape. Returns the tape rows of those that halt after
-    step 1, and the numbers of those with the outputs "0" and "1" that halt
-    at step 1, which `_entry_tables` counts without a step.
+def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
+    """Lockstep kernel: steps at once, on rows of one flat tape and from
+    step 1, the machines with the int64 indices `m` that `_entry_tables`
+    hands over, those that turn back on blank tape and have a halting
+    entry. Returns the tape rows of those that halt within `step_bound`
+    steps, and the outputs of the machines counted without a step, as
+    `_entry_tables` returns them.
 
     A halted machine idles in the absorbing row until the next compaction,
-    after steps 2, 4, 8, ... and the last (none halts at step 1). The first
-    compaction at or after step `states` also drops the escapees: a machine
-    whose head has moved `step` cells one way has read fresh blank tape in
-    `step + 1 > states` states, so it repeats one and cycles over blank tape
-    for ever. One that has moved `step` cells one way at a later compaction
-    had done so at this one too, so one check finds them all."""
+    after steps 2, 4, 8, ... and the last (none halts at step 1)."""
     write, move, nxt, cur, halts = _entry_tables(states, step_bound, m)
     absorb, width, start = len(nxt) - 3 * states, 2 * step_bound + 3, step_bound + 1
-    escape = 1 << (max(states, 2) - 1).bit_length()  # the first compaction >= states
     tape = np.zeros(len(cur) * width, dtype=np.uint8)
     pos = np.arange(start, len(tape), width)
     done, reach = [pos[:0]], 1
@@ -184,8 +213,6 @@ def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray,
         if step == step_bound or step > 1 and step & (step - 1) == 0:
             live = cur != absorb
             done.append(pos[~live])
-            if step == escape:
-                live &= np.abs(pos % width - start) != step
             pos, cur = pos[live], cur[live]
             reach = step if len(done[-1]) else reach
     # a machine halted by step `reach` visited only the start cell +- (reach - 1)
@@ -211,9 +238,8 @@ def enumerate_range(
 ) -> tuple[Counter, int]:
     """Halting-output counts over machine indices [start, stop), equal to
     those of running every machine on its own for up to `step_bound`
-    steps: the machines that halt on their first transition are counted
-    without a step, and escapees are dropped because they never halt (see
-    `_run_batch`)."""
+    steps: the machines decided on blank tape are counted or dropped
+    without a step (see `_entry_tables`)."""
     if start < 0 or stop > machine_count(states) or start > stop:
         raise ValueError("invalid machine index range")
     if step_bound < 0:
@@ -225,15 +251,14 @@ def enumerate_range(
 
 
 def _run_batches(states: int, step_bound: int, batches) -> tuple[Counter, int]:
-    """Summed output counts of `_run_batch` over an iterable of index arrays."""
+    """Summed output counts of `_run_batch` over an iterable of index arrays:
+    the counts of every output, none of them zero, and their total."""
     counts: Counter = Counter()
     halting = 0
     for m in batches:
         rows, halts = _run_batch(states, step_bound, m)
-        halting += _region_counts(rows, counts) + sum(halts)
-        for bit, c in zip("01", halts):
-            if c:
-                counts[bit] += c
+        halting += _region_counts(rows, counts) + sum(halts.values())
+        counts.update(halts)
     return counts, halting
 
 

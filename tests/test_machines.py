@@ -95,6 +95,12 @@ def reference_range(states, step_bound, start, stop):
 
 THREE = machine_count(3)
 
+# The first compaction step at or after `states`. Step bounds from 0 to
+# just past it cover every step at which a machine halts on blank tape (at
+# most `states`) and the first halts after a turn back (from step 3), where
+# a machine decided on blank tape one step off would show.
+ESCAPE = {states: 1 << (max(states, 2) - 1).bit_length() for states in KNOWN_STEP_BOUNDS}
+
 
 class TestKernelAgainstReference:
     def test_counts_match_pure_python(self):
@@ -175,6 +181,19 @@ class TestKernelAgainstReference:
             states, bound, 0, total
         )
 
+    @pytest.mark.parametrize("states", [3, 4])
+    def test_slices_at_step_bounds_around_the_blank_tape_decisions(self, states):
+        # chain halters halt by step `states`, and the first machines that
+        # turn back halt at step 3; slices spread over the index range, so
+        # that the blank-read digits above the low ones vary too
+        total = machine_count(states)
+        for bound in range(ESCAPE[states] + 3):
+            for share in np.linspace(0.05, 0.95, 7):
+                start = int(total * share)
+                assert enumerate_range(states, bound, start, start + 600) == reference_range(
+                    states, bound, start, start + 600
+                )
+
     def test_one_machine_batches(self, monkeypatch):
         monkeypatch.setattr(machines, "BATCH", 1)
         start, stop = 2_000_000, 2_000_600
@@ -221,10 +240,11 @@ def kernel_on(states, step_bound, idx):
 
 
 class TestReductions:
-    """Machines that halt on their first transition are counted without
-    being stepped, and escapees (heading one way over blank tape in a cycle
-    of states) are dropped once they have moved `states` cells one way. The
-    kernel must still agree with `run_machine` machine by machine."""
+    """Machines decided on blank tape are never stepped: those that halt
+    while their head moves one way over blank cells are counted in closed
+    form, and escapees (heading one way over blank tape in a cycle of
+    states) are dropped. The kernel must still agree with `run_machine`
+    machine by machine."""
 
     @pytest.mark.parametrize(
         "states, cycle, right",
@@ -234,8 +254,9 @@ class TestReductions:
     def test_escapees_never_halt(self, states, cycle, right):
         # the blank entries of the cycle's states move one way round the
         # cycle; every other entry is random, with one read-1 entry halting
-        # so that the machine is stepped. A kernel that recorded the
-        # escapees it drops as halted would count them here.
+        # so that only the blank-tape decision drops the machine. A kernel
+        # that recorded the escapees it drops as halted would count them
+        # here.
         rng = np.random.default_rng(len(cycle) + 10 * states + right)
         idx = []
         for _ in range(50):
@@ -252,15 +273,18 @@ class TestReductions:
         assert kernel_on(states, bound, mixed) == reference_on(states, bound, mixed)
 
     @pytest.mark.parametrize("right", [1, 0])
-    def test_escapees_stop_stepping_at_the_escape_compaction(self, monkeypatch, right):
+    def test_escapees_are_never_stepped(self, monkeypatch, right):
         # 2-state machines that write 1 and move one way over blank tape in
         # the cycle 0 -> 1 -> 0 and halt only on reading a 1 (1509 and 1307
-        # among them): each is stepped twice, up to the step-2 compaction,
-        # and then dropped instead of running all 6 steps. The count is of
-        # lookups in the `write` table, one per stepping machine and step.
+        # among them) are dropped when decoded, so the step loop makes no
+        # lookup for them in the `write` table, where it makes one per
+        # stepping machine and step. One machine that turns back shows that
+        # the lookups are counted.
         idx = [index_of(2, [option(1, right, 1), 0, option(1, right, 0), k]) for k in range(10)]
         assert (1509 if right else 1307) in idx
         assert all(run_machine(i, 2, 6) is None for i in idx)
+        turns = index_of(2, [option(1, right, 1), 1, option(1, 1 - right, 0), 0])
+        assert run_machine(turns, 2, 6) == "11"
         steps = []
 
         class Counting(np.ndarray):
@@ -276,15 +300,18 @@ class TestReductions:
 
         monkeypatch.setattr(machines, "_entry_tables", counting)
         assert kernel_on(2, 6, idx) == (Counter(), 0)
-        assert sum(steps) == 2 * len(idx)
+        assert sum(steps) == 0
+        assert kernel_on(2, 6, idx + [turns]) == (Counter({"11": 1}), 1)
+        assert sum(steps) > 0
 
     @pytest.mark.parametrize("states", [3, 4])
     def test_near_escapees(self, states):
         # one way over blank tape through states - 1 transitions, then the
         # next blank entry halts, turns back onto the last written cell and
         # halts there, or turns back and goes on at random. A kernel that
-        # dropped escapees one compaction too early (at step 2) would lose
-        # the machines that halt at steps `states` and `states + 1`.
+        # walked blank tape one step short, or took a turn back at step
+        # `states` for an escape, would lose the machines that halt at
+        # steps `states` and `states + 1`.
         rng = np.random.default_rng(states)
         idx = []
         for kind in range(300):
@@ -323,10 +350,32 @@ class TestReductions:
             got = kernel_on(states, bound, idx)
             assert got == reference_on(states, bound, idx)
             assert got[1] == (len(idx) if bound else 0)
-            # `_entry_tables` hands over the counts of "0" and "1" as two ints
-            halts = machines._entry_tables(states, bound, np.array(idx, dtype=np.int64))[-1]
-            assert [type(c) for c in halts] == [int, int]
-            assert list(halts) == [got[0]["0"], got[0]["1"]]
+            assert_counted_without_a_step(states, bound, idx, got)
+
+    @pytest.mark.parametrize(
+        "states, bound", [(s, b) for s in KNOWN_STEP_BOUNDS for b in range(ESCAPE[s] + 2)]
+    )
+    def test_chain_halters_only(self, states, bound):
+        # machines that halt at step j after j - 1 moves one way over blank
+        # tape, for every j that `states` states allow (a longer walk over
+        # blank tape repeats a state, and cycles): each is counted in
+        # closed form from step bound j on, and none is stepped
+        rng = np.random.default_rng(states)
+        idx, halt_steps = [], []
+        for k in range(400):
+            j = 1 + k % states
+            order = [0] + [int(s) for s in rng.permutation(range(1, states))[: j - 1]]
+            right = int(rng.integers(2))
+            v = rng.integers(0, 4 * states + 2, 2 * states)
+            for a, b in zip(order, order[1:]):
+                v[2 * a] = option(int(rng.integers(2)), right, b)
+            v[2 * order[-1]] = rng.integers(2)
+            idx.append(index_of(states, v))
+            halt_steps.append(j)
+        got = kernel_on(states, bound, idx)
+        assert got == reference_on(states, bound, idx)
+        assert got[1] == sum(j <= bound for j in halt_steps)
+        assert_counted_without_a_step(states, bound, idx, got)
 
     @pytest.mark.parametrize("states, bound", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 6), (3, 21)])
     def test_every_count_is_positive(self, states, bound):
@@ -345,37 +394,86 @@ class TestReductions:
         assert all(c > 0 for c in sample_machines(states, 500, seed=bound).counts.values())
 
 
+def assert_counted_without_a_step(states, step_bound, idx, got):
+    """Every machine of `idx` is decided on blank tape: `_entry_tables`
+    hands the kernel none to step, and its closed-form counts are the
+    kernel's result `got`, as a dict of positive ints."""
+    *_, first, halts = machines._entry_tables(states, step_bound, np.array(idx, dtype=np.int64))
+    assert len(first) == 0
+    assert type(halts) is dict and halts == got[0]
+    assert all(type(c) is int and c > 0 for c in halts.values())
+
+
+def blank_walk(states, blank):
+    """The fate of a machine whose entry for (state s, blank) is `blank[s]`,
+    walked cell by cell while its head meets only blank cells: its output
+    if it halts, "turn" if it reads a cell it wrote, "escape" once its head
+    is `states` cells from the start."""
+    tape, head, state = {}, 0, 0
+    while head not in tape:
+        if abs(head) == states:
+            return "escape"
+        v = blank[state]
+        if v < 2:
+            tape[head] = v
+            return "".join(str(tape[p]) for p in sorted(tape))
+        tape[head] = (v - 2) & 1
+        head += 1 if (v - 2) & 2 else -1
+        state = (v - 2) >> 2
+    return "turn"
+
+
+def test_chains_against_a_walk_of_every_chain_index():
+    # `_chains` is indexed by the sum of the entries for (state s, blank)
+    # times base ** s: 0 for an escapee, 1 for a machine that turns back,
+    # else a leading 1 and the output of a halt on blank tape
+    codes = {"escape": 0, "turn": 1}
+    for states in KNOWN_STEP_BOUNDS:
+        base = 4 * states + 2
+        want = []
+        for c in range(base**states):
+            fate = blank_walk(states, [c // base**s % base for s in range(states)])
+            want.append(codes[fate] if fate in codes else int("1" + fate, 2))
+        chains = machines._chains(states)
+        assert chains.dtype == np.uint8
+        assert chains.tolist() == want + [1]  # the absorbing row's entry is stepped
+
+
 def digit_entry_tables(states, step_bound, m):
     """`_entry_tables` as it decoded before the digit-group tables: one index
-    digit at a time, the least option value for the halting test, a copy of
-    the mark-0 columns for mark 2, and three flat gathers by option value."""
+    digit at a time, a copy of the mark-0 columns for mark 2, and three flat
+    gathers by option value, with each machine's fate on blank tape from
+    `blank_walk`."""
     n_entries = 3 * states
     write, move, nxt = machines._option_tables(states)
     v = np.empty((len(m) + 1, n_entries), dtype=np.int64)
-    least = np.full(len(m), 2)
     base = 4 * states + 2
     for e in range(2 * states):
         m, r = np.divmod(m, base)
         v[:-1, e + e // 2] = r
-        if e:
-            np.minimum(least, r, out=least)
-        else:
-            halts = np.bincount(r, minlength=2)[:2].tolist() if step_bound else [0, 0]
-    least[v[:-1, 0] < 2] = 2
     v[:, 2::3] = v[:, ::3]
     v[-1] = [-3, -2, -1] * states
-    v = v.take(np.append(np.flatnonzero(least < 2), len(least)), axis=0)
+    halts, stepped = Counter(), []
+    for i, entries in enumerate(v[:-1].tolist()):
+        fate = blank_walk(states, entries[::3])  # the mark-0 columns
+        if fate == "turn" and min(entries) < 2:
+            stepped.append(i)
+        elif fate not in ("turn", "escape") and len(fate) <= step_bound:
+            halts[fate] += 1
+    v = v.take(stepped + [len(v) - 1], axis=0)
     rows = np.arange(0, v.size, n_entries)
     nxt = nxt[v]
     nxt += rows[:, None]
     np.minimum(nxt, rows[-1], out=nxt)
-    return write[v].ravel(), move[v].ravel(), nxt.ravel(), rows[:-1], halts
+    return write[v].ravel(), move[v].ravel(), nxt.ravel(), rows[:-1], dict(halts)
 
 
 class TestEntryTables:
     """`_entry_tables` ors together rows of tables indexed by groups of at
-    most 3 index digits; it must hand the kernel exactly what the per-digit
-    decode did, dtypes included."""
+    most 3 index digits and decides machines on blank tape from `_chains`;
+    it must hand the kernel exactly the machines and tables of the
+    per-digit decode and per-machine walk, dtypes included, and the same
+    closed-form counts."""
 
     @staticmethod
     def check(states, step_bound, start, stop):
@@ -384,7 +482,8 @@ class TestEntryTables:
         want = digit_entry_tables(states, step_bound, m)
         for g, w in zip(got[:4], want[:4]):
             assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert got[4] == want[4] and [type(c) for c in got[4]] == [int, int]
+        assert type(got[4]) is dict and got[4] == want[4]
+        assert all(type(c) is int and c > 0 for c in got[4].values())
 
     @pytest.mark.parametrize("states", [1, 2])
     @pytest.mark.parametrize("bound", [0, 1, 2, 6])
@@ -410,21 +509,24 @@ class TestEntryTables:
 
     def test_tables_are_small_and_built_on_first_use(self):
         # groups of at most 3 digits: 18**3 rows a group at 4 states, where
-        # one table per half of the 8 digits would take about 25 MB
+        # one table per half of the 8 digits would take about 25 MB; the
+        # chain table has one byte per setting of the 4 blank-read entries
         src = Path(machines.__file__).parents[2]
         code = (
             "from marketcomplexity import cli; from marketcomplexity.bdm import machines; "
-            "print(machines._group_tables.cache_info().currsize)"
+            "print(machines._group_tables.cache_info().currsize, "
+            "machines._chains.cache_info().currsize)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, env={"PYTHONPATH": str(src)}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0"]
-        *tables, first = machines._group_tables(4)
+        assert proc.stdout.split() == ["0", "0"]
+        tables, chains = machines._group_tables(4), machines._chains(4)
         assert [len(t) for t in tables[0]] == [18**3 + 1, 18**3 + 1, 18**2 + 1]
-        assert sum(t.nbytes for group in tables for t in group) + first.nbytes <= 2 * 2**20
+        assert chains.dtype == np.uint8 and len(chains) == 18**4 + 1
+        assert sum(t.nbytes for group in tables for t in group) + chains.nbytes <= 2 * 2**20
 
 
 class TestEnumerate:
