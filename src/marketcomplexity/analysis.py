@@ -84,7 +84,8 @@ def compute_market_metrics(
     call: if it raises, every column of the group fails with its reason; a
     NaN or infinite value fails only its own column. The return histogram
     of the window is one more group, with no column: it is kept as
-    `histogram`, or fails under the key `histogram`.
+    `histogram`, or fails under the key `histogram`. With no window, each
+    windowed column and the histogram fail as "empty window".
     """
     from . import encode, entropy, fractal, lzw, returns
     from .bdm import bdm as bdm_fn
@@ -149,6 +150,8 @@ def compute_market_metrics(
     for col in METRIC_COLUMNS:
         if col not in m.values and col not in m.failures:
             m.failures[col] = "empty window"
+    if windowed is None:
+        m.failures["histogram"] = "empty window"
     return m
 
 

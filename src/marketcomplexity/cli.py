@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, field
-from datetime import datetime
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,61 +48,51 @@ def _write(path: str | Path, text: str, config_hash: str = "none") -> None:
 # report configuration
 
 
-@dataclass
-class RunConfig:
-    markets: list[tuple[str, str, str]] = field(default_factory=list)  # id, kind, path
-    pairs: list[tuple[str, str]] = field(default_factory=list)
-    window_start: datetime | None = None
-    window_end: datetime | None = None
-    max_block: int = 4
-    bdm_d: int = 4
-    bdm_overlap: int | None = None
-    bdm_table: str | None = None
-    fractal_L: int = 2
-    output_dir: str = "out"
-    config_hash: str = "none"
-
-    def validate(self) -> None:
-        if not self.markets:
-            raise ConfigError("no markets configured (need at least one `market =` line)")
-        ids = [m[0] for m in self.markets]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("duplicate market ids in config")
-        for id, kind, path in self.markets:
-            # an id names the market's output files, so it must be a plain file name
-            if id in ("", ".", "..") or "/" in id or "\\" in id:
-                raise ConfigError(f"market {id!r}: id must be a plain file name")
-            if kind not in KINDS:
-                raise ConfigError(f"market {id!r}: unknown kind {kind!r}")
-        written = {}
-        for a, b in self.pairs:
-            if a not in ids or b not in ids:
-                raise ConfigError(f"pair {a},{b} references an unconfigured market")
-            # two pairs that name one aligned file would overwrite each other
-            name = _aligned_name(a, b)
-            if name in written:
-                raise ConfigError(f"pairs {written[name]} and {a},{b} both write {name}")
-            written[name] = f"{a},{b}"
-        if self.window_start and self.window_end and self.window_start >= self.window_end:
-            raise ConfigError("window.start must precede window.end")
-        if self.max_block < 1 or self.bdm_d < 1 or self.fractal_L < 2:
-            raise ConfigError("invalid analysis parameters")
-        if self.bdm_overlap is not None and not 1 <= self.bdm_overlap <= self.bdm_d:
-            raise ConfigError(f"bdm.overlap must be in 1..{self.bdm_d} (bdm.d)")
+def _validate(cfg: SimpleNamespace) -> None:
+    """Refuse a parsed config that `report` cannot run."""
+    if not cfg.markets:
+        raise ConfigError("no markets configured (need at least one `market =` line)")
+    ids = [m[0] for m in cfg.markets]
+    if len(set(ids)) != len(ids):
+        raise ConfigError("duplicate market ids in config")
+    for id, kind, path in cfg.markets:
+        # an id names the market's output files, so it must be a plain file name
+        if id in ("", ".", "..") or "/" in id or "\\" in id:
+            raise ConfigError(f"market {id!r}: id must be a plain file name")
+        if kind not in KINDS:
+            raise ConfigError(f"market {id!r}: unknown kind {kind!r}")
+    written = {}
+    for a, b in cfg.pairs:
+        if a not in ids or b not in ids:
+            raise ConfigError(f"pair {a},{b} references an unconfigured market")
+        # two pairs that name one aligned file would overwrite each other
+        name = _aligned_name(a, b)
+        if name in written:
+            raise ConfigError(f"pairs {written[name]} and {a},{b} both write {name}")
+        written[name] = f"{a},{b}"
+    if cfg.window_start and cfg.window_end and cfg.window_start >= cfg.window_end:
+        raise ConfigError("window.start must precede window.end")
+    if cfg.max_block < 1 or cfg.bdm_d < 1 or cfg.fractal_L < 2:
+        raise ConfigError("invalid analysis parameters")
+    if cfg.bdm_overlap is not None and not 1 <= cfg.bdm_overlap <= cfg.bdm_d:
+        raise ConfigError(f"bdm.overlap must be in 1..{cfg.bdm_d} (bdm.d)")
 
 
 def _aligned_name(src_id: str, dst_id: str) -> str:
     return f"{src_id}__{dst_id}_aligned.csv"
 
 
-def parse_config(path: str) -> RunConfig:
-    """Flat `key = value` config file; only `market` and `pair` keys repeat."""
+def parse_config(path: str) -> SimpleNamespace:
+    """Flat `key = value` config file; only `market` and `pair` keys repeat.
+    The result holds each key's field, and `config_hash` of the file's bytes."""
     raw = _read(path, "config file")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    cfg = RunConfig(config_hash=hashlib.sha256(raw).hexdigest()[:12])
+    digest = hashlib.sha256(raw).hexdigest()[:12]
+    defaults = {name: default for name, _, default in _FIELD_KEYS.values()}
+    cfg = SimpleNamespace(markets=[], pairs=[], config_hash=digest, **defaults)
     given = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -123,20 +112,20 @@ def parse_config(path: str) -> RunConfig:
 
 # the keys that repeat, each with the fields of its value
 _LIST_KEYS = {"market": ("markets", "id,kind,path"), "pair": ("pairs", "src_id,dst_id")}
-# every other key sets one RunConfig field from its parsed value
+# every other key sets one field: (name, parser of its value, default)
 _FIELD_KEYS = {
-    "window.start": ("window_start", parse_date),
-    "window.end": ("window_end", parse_date),
-    "entropy.max_block": ("max_block", int),
-    "bdm.d": ("bdm_d", int),
-    "bdm.overlap": ("bdm_overlap", int),
-    "bdm.table": ("bdm_table", str),
-    "fractal.L": ("fractal_L", int),
-    "output.dir": ("output_dir", str),
+    "window.start": ("window_start", parse_date, None),
+    "window.end": ("window_end", parse_date, None),
+    "entropy.max_block": ("max_block", int, 4),
+    "bdm.d": ("bdm_d", int, 4),
+    "bdm.overlap": ("bdm_overlap", int, None),
+    "bdm.table": ("bdm_table", str, None),
+    "fractal.L": ("fractal_L", int, 2),
+    "output.dir": ("output_dir", str, "out"),
 }
 
 
-def _apply_config_key(cfg: RunConfig, key: str, value: str, given: set[str]) -> None:
+def _apply_config_key(cfg: SimpleNamespace, key: str, value: str, given: set[str]) -> None:
     if key in _LIST_KEYS:
         name, shape = _LIST_KEYS[key]
         parts = tuple(v.strip() for v in value.split(","))
@@ -147,7 +136,7 @@ def _apply_config_key(cfg: RunConfig, key: str, value: str, given: set[str]) -> 
         if key in given:
             raise ConfigError(f"{key} given twice")
         given.add(key)
-        name, parse = _FIELD_KEYS[key]
+        name, parse, _ = _FIELD_KEYS[key]
         setattr(cfg, name, parse(value))
     else:
         raise ConfigError(f"unknown config key {key!r}")
@@ -168,7 +157,7 @@ def cmd_report(args) -> int:
     cfg = parse_config(args.config)
     if args.output_dir:
         cfg.output_dir = args.output_dir
-    cfg.validate()
+    _validate(cfg)
     series = {id: _read_series(path, id, kind) for id, kind, path in cfg.markets}
     table = CtmTable.load(cfg.bdm_table) if cfg.bdm_table else _default_table()
     if cfg.bdm_d > table.d_max:
@@ -319,7 +308,7 @@ def cmd_bdm(args, s: PriceSeries) -> int:
 
 def cmd_fractal(args, s: PriceSeries) -> int:
     est = fractal_mod.hall_wood(s, args.L)
-    scales = f" L={est.L}" if est.L else ""
+    scales = f" L={args.L}" if args.L != 2 else ""
     print(f"dimension={est.value!r} raw={est.raw!r}{scales}")
     return 0
 

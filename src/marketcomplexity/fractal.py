@@ -41,12 +41,10 @@ class UnitGridSeries:
 
 @dataclass(frozen=True)
 class DimensionEstimate:
-    """Raw estimator output plus the reported value, `raw` clamped to
-    [1, 2). `L` is set only by the OLS form over scales 1..L."""
+    """Raw estimator output plus the reported value, `raw` clamped to [1, 2)."""
 
     raw: float
     value: float
-    L: int | None = None
 
 
 def to_unit_grid(s: PriceSeries) -> UnitGridSeries:
@@ -113,4 +111,4 @@ def hall_wood(s: PriceSeries, L: int = 2) -> DimensionEstimate:
     if L == 2:
         return hall_wood_dimension(grid)
     raw = hall_wood_ols(grid, L)
-    return DimensionEstimate(raw=raw, value=_clamp(raw), L=L)
+    return DimensionEstimate(raw=raw, value=_clamp(raw))

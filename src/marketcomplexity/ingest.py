@@ -82,10 +82,6 @@ class PricePoint:
     timestamp: datetime
     price: float
 
-    def __post_init__(self):
-        if not self.price > 0:
-            raise ValueError(f"price must be positive, got {self.price}")
-
 
 @dataclass(frozen=True, eq=False)
 class PriceSeries:

@@ -190,8 +190,6 @@ def _ndtr(a: float) -> float:
 
 def _erf(x: float) -> float:
     """Cephes `erf` for |x| < 1, the only range `_ndtr` and `_erfc` use."""
-    if x < 0.0:
-        return -_erf(-x)
     z = x * x
     return x * _polevl(z, _T) / _polevl(z, _U)
 

@@ -272,6 +272,8 @@ class TestMetricReport:
         s = daily_series([1, 2, 3, 4, 5, 6])
         m = compute_market_metrics(s, None, table2)
         assert m.failures["mean_log_return"] == "empty window"
+        assert m.failures["histogram"] == "empty window"
+        assert m.histogram is None
         assert "hall_wood_full" in m.values
 
     def test_non_finite_cell_is_failed(self):

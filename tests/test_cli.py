@@ -117,6 +117,10 @@ class TestMeasureCommands:
         assert main(["fractal", str(p)]) == 0
         fields = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())
         assert 1.0 <= float(fields["dimension"]) < 2.0
+        assert "L" not in fields  # the default two-scale form names no L
+        assert main(["fractal", str(p), "--L", "3"]) == 0
+        fields = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())
+        assert fields["L"] == "3" and 1.0 <= float(fields["dimension"]) < 2.0
 
     def test_align_shifted_copy(self, tmp_path, capsys):
         prices = walk_prices(5)
@@ -643,6 +647,10 @@ class TestReportCommand:
         row = text.splitlines()[-1]
         # whole-history fractal dimension still computed
         assert row.split(",")[-1] not in ("", "FAILED: empty window")
+        # the histogram fails with the windowed columns, and no file is written
+        assert "  ALPHA histogram: empty window\n" in (tmp_path / "out" / "report.txt").read_text()
+        assert not (tmp_path / "out" / "ALPHA_hist.csv").exists()
+        assert "warning: ALPHA histogram: empty window\n" in capsys.readouterr().err
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         a = write_market(tmp_path, "a.csv", walk_prices(14))

@@ -9,7 +9,6 @@ from marketcomplexity import ingest
 from marketcomplexity.errors import CsvParseError, SeriesTooShortError
 from marketcomplexity.ingest import (
     EPOCH,
-    PricePoint,
     PriceSeries,
     epoch_us,
     parse_csv,
@@ -209,10 +208,6 @@ class TestColumnarSeries:
         """The rule of the CSV reader: a close is positive and finite."""
         with pytest.raises(ValueError, match=re.escape(message)):
             PriceSeries("X", "stock index", [0, ingest.DAY_US], prices)
-
-    def test_point_price_positive(self):
-        with pytest.raises(ValueError, match="price must be positive, got 0.0"):
-            PricePoint(EPOCH, 0.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

@@ -159,11 +159,12 @@ class TestPersistence:
             ("# states=2 colors=2\n0\t1.0\texact\n", ": incomplete header"),
             (HEADER.replace("exhaustive", "guessed") + "0\t1.0\texact\n", ": invalid mode"),
             (DUPLICATE, ":3: bitstring '0' listed twice"),
+            (f"{HEADER}0\t1.0\n1\t1.0\texact\n", ":2: expected 3 tab fields"),
         ],
         ids=[
             "tag", "unparsable-k", "zero-k", "nan-k", "inf-k", "overflowing-k", "no-entries",
             "header-token",
-            "incomplete-header", "mode", "repeated-string",
+            "incomplete-header", "mode", "repeated-string", "field-count",
         ],
     )
     def test_malformed_table_rejected(self, tmp_path, text, message):
