@@ -13,4 +13,4 @@ from .machines import (
     sample_machines,
     shard_ranges,
 )
-from .table import CtmMeta, CtmTable, check_d_max, ctm_from_frequency
+from .table import CtmTable, check_d_max, ctm_from_frequency

@@ -199,7 +199,8 @@ def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray,
     `_entry_tables` returns them.
 
     A halted machine idles in the absorbing row until the next compaction,
-    after steps 2, 4, 8, ... and the last (none halts at step 1)."""
+    after steps 4, 8, 16, ... and the last (a stepped machine turns back at
+    step 2 at the earliest, so none halts before step 3)."""
     write, move, nxt, cur, halts = _entry_tables(states, step_bound, m)
     absorb, width, start = len(nxt) - 3 * states, 2 * step_bound + 3, step_bound + 1
     tape = np.zeros(len(cur) * width, dtype=np.uint8)
@@ -210,7 +211,7 @@ def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray,
         tape[pos] = write[e]
         pos += move[e]
         cur = nxt[e]
-        if step == step_bound or step > 1 and step & (step - 1) == 0:
+        if step > 2 and (step == step_bound or step & (step - 1) == 0):
             live = cur != absorb
             done.append(pos[~live])
             pos, cur = pos[live], cur[live]

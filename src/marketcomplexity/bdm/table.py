@@ -4,10 +4,15 @@ The coding-theorem estimate K(x) = -log2 m(x) is tabulated for every binary
 string up to a chosen maximum length. Strings the enumeration never
 produced get a fallback value one bit above the largest exact value at
 their length, so lookups stay total and order-preserving.
+
+A saved table is its provenance line, `header`, then one
+`<bitstring>\t<K>\t<exact|fallback>` line per string. `load` accepts only
+the header that `ctm_from_frequency` renders, and `report.txt` repeats it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, log2
@@ -20,27 +25,18 @@ from .machines import OutputDistribution, write_replacing
 # bit doubles the table and its build time
 D_MAX_LIMIT = 16
 
-
-@dataclass(frozen=True)
-class CtmMeta:
-    states: int
-    step_bound: int
-    machines: int
-    mode: str  # "exhaustive" or "sampled"
-
-    def header_line(self) -> str:
-        return (
-            f"# states={self.states} colors=2 "
-            f"step_bound={self.step_bound} machines={self.machines} "
-            f"mode={self.mode}"
-        )
+# the header `ctm_from_frequency` renders; \d would also match non-ASCII digits
+_N = "(0|[1-9][0-9]*)"
+_HEADER = re.compile(
+    f"# states={_N} colors=2 step_bound={_N} machines={_N} mode=(exhaustive|sampled)"
+)
 
 
 @dataclass(frozen=True)
 class CtmTable:
     values: dict[str, float]
     fallback: frozenset[str]
-    meta: CtmMeta
+    header: str  # provenance, the first line as written, "# " included
 
     @cached_property
     def d_max(self) -> int:
@@ -64,7 +60,7 @@ class CtmTable:
         return max(map(self.values.__getitem__, _strings(length)))
 
     def save(self, path: str | Path) -> None:
-        lines = [self.meta.header_line()]
+        lines = [self.header]
         for s in sorted(self.values, key=lambda x: (len(x), x)):
             tag = "fallback" if s in self.fallback else "exact"
             lines.append(f"{s}\t{self.values[s]:.9f}\t{tag}")
@@ -77,9 +73,8 @@ class CtmTable:
         except (OSError, UnicodeDecodeError) as exc:
             raise TableFormatError(f"{path}: cannot read table: {exc}")
         lines = text.splitlines()
-        if not lines or not lines[0].startswith("# "):
-            raise TableFormatError(f"{path}: missing header line")
-        meta = _parse_header(lines[0], path)
+        if not lines or not _HEADER.fullmatch(lines[0]):
+            raise TableFormatError(f"{path}: line 1 is not a table header")
         values: dict[str, float] = {}
         fallback = set()
         for lineno, line in enumerate(lines[1:], start=2):
@@ -111,31 +106,7 @@ class CtmTable:
         missing = 2 ** (d_max + 1) - 2 - len(values)
         if missing:
             raise TableFormatError(f"{path}: {missing} strings of length 1..{d_max} missing")
-        return cls(values=values, fallback=frozenset(fallback), meta=meta)
-
-
-def _parse_header(line: str, path) -> CtmMeta:
-    fields = {}
-    for token in line[2:].split():
-        if "=" not in token:
-            raise TableFormatError(f"{path}: malformed header token {token!r}")
-        key, val = token.split("=", 1)
-        fields[key] = val
-    try:
-        states, colors = int(fields["states"]), int(fields["colors"])
-        meta = CtmMeta(
-            states=states,
-            step_bound=int(fields["step_bound"]),
-            machines=int(fields["machines"]),
-            mode=fields["mode"],
-        )
-    except (KeyError, ValueError) as exc:
-        raise TableFormatError(f"{path}: incomplete header: {exc}")
-    if colors != 2:
-        raise TableFormatError(f"{path}: only 2-colour tables are supported")
-    if meta.mode not in ("exhaustive", "sampled"):
-        raise TableFormatError(f"{path}: invalid mode {meta.mode!r}")
-    return meta
+        return cls(values=values, fallback=frozenset(fallback), header=lines[0])
 
 
 def _strings(length: int) -> list[str]:
@@ -172,10 +143,8 @@ def ctm_from_frequency(dist: OutputDistribution, d_max: int | None = None) -> Ct
         for s in strings:
             values[s] = exact.get(s, base + 1.0)
         fallback.update(s for s in strings if s not in exact)
-    meta = CtmMeta(
-        states=dist.states,
-        step_bound=dist.step_bound,
-        machines=dist.machines,
-        mode="exhaustive" if dist.exhaustive else "sampled",
+    header = (
+        f"# states={dist.states} colors=2 step_bound={dist.step_bound} "
+        f"machines={dist.machines} mode={'exhaustive' if dist.exhaustive else 'sampled'}"
     )
-    return CtmTable(values=values, fallback=frozenset(fallback), meta=meta)
+    return CtmTable(values=values, fallback=frozenset(fallback), header=header)

@@ -87,7 +87,7 @@ def parse_config(path: str) -> SimpleNamespace:
     The result holds each key's field, and `config_hash` of the file's bytes."""
     raw = _read(path, "config file")
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     digest = hashlib.sha256(raw).hexdigest()[:12]
@@ -199,7 +199,7 @@ def cmd_report(args) -> int:
         lines.append(f"window.start={cfg.window_start.date().isoformat()}")
     if cfg.window_end:
         lines.append(f"window.end={cfg.window_end.date().isoformat()}")
-    lines.append(f"ctm: {table.meta.header_line()[2:]}")
+    lines.append(f"ctm: {table.header[2:]}")
     lines.append(
         f"params: max_block={cfg.max_block} bdm_d={cfg.bdm_d} "
         f"bdm_overlap={cfg.bdm_overlap or cfg.bdm_d} fractal_L={cfg.fractal_L}"

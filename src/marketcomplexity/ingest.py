@@ -200,7 +200,7 @@ def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
     """
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise CsvParseError(f"input is not UTF-8: {exc}")
     lines = data.splitlines()

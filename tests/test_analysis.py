@@ -1,4 +1,5 @@
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from marketcomplexity.analysis import (
     MarketMetrics,
+    _complete_linkage_cut,
     compute_market_metrics,
     correlate_markets,
     group_markets,
@@ -235,20 +237,36 @@ class TestGroupingMatchesScipy:
         markets, feats = simple_markets(
             {id: [i, v] for i, (id, v) in enumerate(zip("ABC", column))}
         )
-
-        def hang(signum, frame):
-            raise AssertionError("group_markets did not return")
-
-        # a chain over non-finite distances never ends; fail instead of hanging
-        old = signal.signal(signal.SIGALRM, hang)
-        signal.setitimer(signal.ITIMER_REAL, 5)
-        try:
+        with returns_within(5):
             for k in (2, 3):
                 with pytest.raises(ValueError, match="feature distances must be finite"):
                     group_markets(markets, feats, k)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_linkage_refuses_non_finite_distances(self, value):
+        # `group_markets` refuses such a column before the linkage sees it
+        z = np.array([[value], [0.0], [1.0]])
+        with returns_within(5):
+            with pytest.raises(ValueError, match="feature distances must be finite"):
+                _complete_linkage_cut(z, 1)
+
+
+@contextmanager
+def returns_within(seconds):
+    """Fails the block after `seconds`: a nearest-neighbour chain over
+    non-finite distances never ends."""
+
+    def hang(signum, frame):
+        raise AssertionError(f"did not return within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 class TestMetricReport:

@@ -265,8 +265,7 @@ class TestCtmGen:
         out = tmp_path / "ctm1.tsv"
         assert main(["ctm-gen", "--states", "1", "--out", str(out)]) == 0
         table = CtmTable.load(out)
-        assert table.meta.states == 1
-        assert table.meta.machines == 36
+        assert table.header == "# states=1 colors=2 step_bound=1 machines=36 mode=exhaustive"
 
     def test_shard_count_invariance(self, tmp_path, capsys):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
@@ -605,6 +604,21 @@ class TestReportCommand:
             rf"# marketcomplexity {re.escape(__version__)} config=[0-9a-f]{{12}}",
             header,
         )
+
+    def test_config_may_start_with_byte_order_mark(self, tmp_path, capsys):
+        # the mark is not part of the first key; the hash is still of the file's bytes
+        cfg = self.good_config(tmp_path)
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert main(["report", "--config", str(cfg)]) == 0
+        digest = hashlib.sha256(cfg.read_bytes()).hexdigest()[:12]
+        header = (tmp_path / "out" / "report.txt").read_text().splitlines()[0]
+        assert header == f"# marketcomplexity {__version__} config={digest}"
+
+    def test_byte_order_mark_after_the_start_is_an_error(self, tmp_path, capsys):
+        cfg = self.good_config(tmp_path)
+        cfg.write_text(cfg.read_text() + "\ufeffbdm.d = 3\n", encoding="utf-8")
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:5: unknown config key '\\ufeffbdm.d'\n"
 
     def test_deterministic_across_runs(self, tmp_path, capsys):
         cfg = self.good_config(tmp_path)

@@ -173,6 +173,36 @@ class TestParseCsv:
             assert [line.split(",")[1] for line in text.splitlines()] == expected
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark that starts a price file is not data."""
+
+    @staticmethod
+    def assert_same_series(data):
+        want, got = parse_csv(data, "X", "stock index"), parse_csv(BOM + data, "X", "stock index")
+        assert got.times.tolist() == want.times.tolist()
+        assert got.prices.tolist() == want.prices.tolist()
+
+    def test_clean_iso_file_takes_bulk_pass(self, monkeypatch):
+        def per_line(*args):
+            raise AssertionError("per-line loop reached")
+
+        monkeypatch.setattr(ingest, "parse_date", per_line)
+        self.assert_same_series(b"2013-01-01,1.5\n2013-01-02,2\n2013-01-04,3\n")
+
+    def test_dmy_file_takes_per_line_loop(self):
+        self.assert_same_series(b"01/01/2013,1.5\n02/01/2013,2\n04/01/2013,3\n")
+
+    def test_second_mark_is_an_error(self):
+        with pytest.raises(CsvParseError) as exc:
+            parse_csv(BOM + BOM + b"2013-01-01,1\n2013-01-02,2\n", "X", "stock index")
+        assert str(exc.value) == (
+            "line 1: unrecognized date '\\ufeff2013-01-01' (expected ISO-8601 or DD/MM/YYYY)"
+        )
+
+
 class TestColumnarSeries:
     def test_columns(self):
         s = parse_csv(b"1900-01-02T00:00:00.5,2\n1900-01-01,1", "X", "stock index")
@@ -309,6 +339,10 @@ class TestParseCsvFastBranch:
              "line 2: date 1899-12-31T00:00:00+00:00 precedes the 1900-01-01 epoch"),
             ("2020-01-01,0", "line 2: price '0' is not positive and finite"),
             ("2013-01-01,3", "line 2: duplicate date 2013-01-01"),
+            # a byte-order mark is skipped only at the start of a file
+            ("\ufeff2013-01-02,2",
+             "line 2: unrecognized date '\\ufeff2013-01-02' (expected ISO-8601 or DD/MM/YYYY)"),
+            ("2013-01-02,\ufeff2", "line 2: invalid price '\\ufeff2'"),
         ],
     )
     def test_rejected_rows_keep_general_errors(self, row, message):

@@ -222,6 +222,24 @@ class TestKernelAgainstReference:
         with pytest.raises(ValueError, match="invalid machine index range"):
             enumerate_range(2, 6, start, stop)
 
+    @pytest.mark.parametrize(
+        "states, start, stop",
+        [(2, 0, 10_000), (3, 0, 3000), (3, THREE // 2, THREE // 2 + 3000),
+         (3, THREE - 3000, THREE)],
+    )
+    def test_no_stepped_machine_halts_by_step_2(self, states, start, stop):
+        # a stepped machine turns back at step 2 or later, so the kernel
+        # compacts from step 3 on: every halt by step 2 is counted without
+        # a step, and the first stepped halts come at step 3
+        m = np.arange(start, stop, dtype=np.int64)
+        for bound in (1, 2, 3):
+            rows, halts = machines._run_batch(states, bound, m)
+            assert (len(rows) > 0) == (bound == 3)
+            counts = Counter(halts)
+            halting = _region_counts(rows, counts) + sum(halts.values())
+            assert (counts, halting) == reference_range(states, bound, start, stop)
+
+
 
 def option(write, right, state):
     """The working option that writes `write`, moves right if `right` (else
