@@ -10,7 +10,6 @@ from .machines import (
     enumerate_range,
     machine_count,
     remove_checkpoints,
-    sample_machines,
     shard_ranges,
 )
 from .table import CtmTable, check_d_max, ctm_from_frequency

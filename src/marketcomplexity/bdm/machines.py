@@ -13,12 +13,12 @@ tape region its head visited. With step bounds at the known maximal halting
 step counts for each state count, the enumeration is exhaustive: anything
 still running is a certified non-halter.
 
-Exhaustive and sampled runs both go through one lockstep kernel, which
-steps a batch of machines as numpy arrays. Tables indexed by the value of
-a group of up to three index digits decode their transition tables in a
-few row gathers; a tape cell's nonzero mark holds its bit and records a
-visit; halting entries lead to a shared absorbing row.
-So the step loop neither tracks visited bounds nor tests for halts.
+Every run goes through one lockstep kernel, which steps a batch of
+machines as numpy arrays. Tables indexed by the value of a group of up to
+three index digits decode their transition tables in a few row gathers; a
+tape cell's nonzero mark holds its bit and records a visit; halting
+entries lead to a shared absorbing row. So the step loop neither tracks
+visited bounds nor tests for halts.
 
 One reduction of Soler-Toscano, Zenil, Delahaye & Gauvrit (PLoS ONE 2014)
 cuts the work of the step loop, and it cannot change a count: machines are
@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,7 +72,6 @@ class OutputDistribution:
     machines: int
     states: int
     step_bound: int
-    exhaustive: bool
 
     def probability(self, s: str) -> float:
         return self.counts.get(s, 0) / self.halting
@@ -279,15 +277,6 @@ def symmetrize_counts(counts: dict[str, int] | Counter) -> Counter:
     return out
 
 
-def _distribution(counts, halting, machines, states, exhaustive) -> OutputDistribution:
-    """The blank-0 output counts of a run of `machines` machines, evaluated
-    on both blank symbols (see `symmetrize_counts`)."""
-    return OutputDistribution(
-        dict(symmetrize_counts(counts)), 2 * halting, machines, states,
-        default_step_bound(states), exhaustive,
-    )
-
-
 def shard_ranges(states: int, shards: int) -> list[tuple[int, int]]:
     total = machine_count(states)
     if shards < 1:
@@ -324,7 +313,10 @@ def enumerate_machines(
             c, h = _checkpointed_range(path, resume, states, step_bound, start, stop)
         counts.update(c)
         halting += h
-    return _distribution(counts, halting, machine_count(states), states, exhaustive=True)
+    # the blank-0 counts, evaluated on both blank symbols (see `symmetrize_counts`)
+    return OutputDistribution(
+        dict(symmetrize_counts(counts)), 2 * halting, machine_count(states), states, step_bound
+    )
 
 
 def remove_checkpoints(checkpoint: str | Path, shards: int) -> None:
@@ -374,22 +366,3 @@ def _checkpointed_range(
     write_replacing(path, json.dumps({**meta, "halting": halting, "counts": counts}))
     return counts, halting
 
-
-def sample_machines(states: int, budget: int, seed: int = 0) -> OutputDistribution:
-    """Uniform random sample of the ensemble, for state counts where the
-    exhaustive run is out of reach (4 states is ~11e9 machines).
-
-    Indices are drawn with `random.Random(seed).randrange`, at most `BATCH`
-    at a time, and each draw runs through the lockstep kernel.
-    """
-    total = machine_count(states)
-    step_bound = default_step_bound(states)
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    rng = random.Random(seed)
-    draws = (
-        np.array([rng.randrange(total) for _ in range(min(BATCH, budget - a))], dtype=np.int64)
-        for a in range(0, budget, BATCH)
-    )
-    counts, halting = _run_batches(states, step_bound, draws)
-    return _distribution(counts, halting, budget, states, exhaustive=False)

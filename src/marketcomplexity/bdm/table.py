@@ -7,7 +7,8 @@ their length, so lookups stay total and order-preserving.
 
 A saved table is its provenance line, `header`, then one
 `<bitstring>\t<K>\t<exact|fallback>` line per string. `load` accepts only
-the header that `ctm_from_frequency` renders, and `report.txt` repeats it.
+the header that `ctm_from_frequency` renders, or its `mode=sampled` form
+that earlier versions wrote, and `report.txt` repeats it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .machines import OutputDistribution, write_replacing
 # bit doubles the table and its build time
 D_MAX_LIMIT = 16
 
-# the header `ctm_from_frequency` renders; \d would also match non-ASCII digits
+# the headers `load` accepts (see above); \d would also match non-ASCII digits
 _N = "(0|[1-9][0-9]*)"
 _HEADER = re.compile(
     f"# states={_N} colors=2 step_bound={_N} machines={_N} mode=(exhaustive|sampled)"
@@ -145,6 +146,6 @@ def ctm_from_frequency(dist: OutputDistribution, d_max: int | None = None) -> Ct
         fallback.update(s for s in strings if s not in exact)
     header = (
         f"# states={dist.states} colors=2 step_bound={dist.step_bound} "
-        f"machines={dist.machines} mode={'exhaustive' if dist.exhaustive else 'sampled'}"
+        f"machines={dist.machines} mode=exhaustive"
     )
     return CtmTable(values=values, fallback=frozenset(fallback), header=header)

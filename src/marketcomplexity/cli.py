@@ -20,7 +20,7 @@ from . import __version__, align as align_mod, encode, entropy as entropy_mod
 from . import fractal as fractal_mod, lzw as lzw_mod, returns as returns_mod
 from .analysis import compute_market_metrics, correlate_markets, report_csv
 from .bdm import CtmTable, bdm as bdm_fn, check_d_max, ctm_from_frequency
-from .bdm import remove_checkpoints, sample_machines
+from .bdm import remove_checkpoints
 from .errors import ConfigError, MarketComplexityError
 from .ingest import KINDS, PriceSeries, parse_csv, parse_date, serialize_csv
 
@@ -224,27 +224,13 @@ def cmd_ctm_gen(args) -> int:
         raise ConfigError(f"--out: {out.parent} is not an existing directory")
     if out.is_dir():
         raise ConfigError(f"--out: {out} is a directory")
-    if args.budget is not None:
-        if args.shards != 1 or args.resume:
-            flag = "--shards" if args.shards != 1 else "--resume"
-            raise ConfigError(f"{flag} applies only to exhaustive mode, not with --budget")
-        dist = sample_machines(args.states, args.budget, seed=args.seed)
-    elif args.states == 4:
-        raise ConfigError("states=4 requires --budget (sampled mode)")
-    elif args.seed != 0:
-        raise ConfigError("--seed applies only to sampled mode (--budget)")
-    else:
-        from .bdm import enumerate_machines
+    from .bdm import enumerate_machines
 
-        dist = enumerate_machines(
-            args.states, shards=args.shards, checkpoint=out, resume=args.resume
-        )
+    dist = enumerate_machines(args.states, shards=args.shards, checkpoint=out, resume=args.resume)
     table = ctm_from_frequency(dist, d_max=args.d_max)
     table.save(out)
-    if dist.exhaustive:  # the checkpoints are needed until the table is on disk
-        remove_checkpoints(out, args.shards)
-    how = f"{dist.halting // 2} halting machines" if dist.exhaustive else "sampled"
-    print(f"wrote {out} ({len(table.values)} entries, {how})")
+    remove_checkpoints(out, args.shards)  # only once the table is on disk
+    print(f"wrote {out} ({len(table.values)} entries, {dist.halting // 2} halting machines)")
     return 0
 
 
@@ -366,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--budget", type=int, default=None, help="sampled-mode machine budget")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d-max", type=int, default=None)
     p = command("fractal", "fractal dimension of the price path", cmd_fractal, "file")
     p.add_argument("--L", type=int, default=2)

@@ -301,6 +301,10 @@ class TestMetricReport:
         assert m.cell("b") == "FAILED: non-finite value inf"
         assert m.cell("c") == "3"
         assert m.cell("d") == "1e+16"  # integral values drop the fraction below 1e16 only
+        m.failures["e"] = "empty window"
+        assert m.cell("e") == "FAILED: empty window"
+        # a column with neither a value nor a failure
+        assert m.cell("f") == "FAILED: not computed"
 
     def test_non_finite_metric_becomes_failure(self, table2, monkeypatch):
         from marketcomplexity import lzw

@@ -405,13 +405,17 @@ class TestCtmGen:
         out = tmp_path / "t.tsv"
         out.write_text("an earlier table\n", encoding="utf-8")
 
+        real_replace = machines.os.replace
+
         def failing(src, dst):
-            raise OSError("replace failed")
+            if Path(dst) == out:
+                raise OSError("replace failed")
+            real_replace(src, dst)
 
         monkeypatch.setattr(machines.os, "replace", failing)
-        assert main(["ctm-gen", "--states", "1", "--out", str(out), "--budget", "5"]) == 2
+        assert main(["ctm-gen", "--states", "1", "--out", str(out)]) == 2
         assert out.read_text(encoding="utf-8") == "an earlier table\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tsv", "t.tsv.shard000of001"]
 
     def test_stale_checkpoint_rejected(self, tmp_path, capsys):
         out = tmp_path / "ctm.tsv"
@@ -451,25 +455,29 @@ class TestCtmGen:
             assert main(argv) == 2, text
             assert "unreadable shard checkpoint" in capsys.readouterr().err, text
 
-    def test_states4_requires_budget(self, tmp_path, capsys):
-        assert main(["ctm-gen", "--states", "4", "--out", str(tmp_path / "x")]) == 2
+    def test_states4_merges_checkpoints(self, tmp_path, capsys, monkeypatch):
+        # a 4-state run merges its shard checkpoints without running a machine
+        from marketcomplexity.bdm import machines
 
-    def test_sampled_mode_header(self, tmp_path, capsys):
-        out = tmp_path / "sampled.tsv"
-        rc = main(
-            ["ctm-gen", "--states", "2", "--out", str(out), "--budget", "3000"]
-        )
-        assert rc == 0
-        assert "mode=sampled" in out.read_text().splitlines()[0]
+        def never(*args):
+            raise AssertionError("a machine ran")
 
-    def test_sampled_four_state_table_bytes(self, tmp_path, capsys):
-        # recorded when sampling still ran one run_machine call per draw
         out = tmp_path / "ctm4.tsv"
-        argv = ["ctm-gen", "--states", "4", "--budget", "100000", "--seed", "9"]
-        assert main(argv + ["--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "d87c716713887d5f783ee63d3e0833dcbdc54da64c8c1bb1bee9c2d30e27df19"
+        for i, (start, stop) in enumerate(shard_ranges(4, 2)):
+            shard = {"states": 4, "step_bound": 107, "start": start, "stop": stop}
+            counts = {"0": 3, "1": 1, "01": 1 + i}
+            _shard_path(out, i, 2).write_text(
+                json.dumps({**shard, "halting": sum(counts.values()), "counts": counts}),
+                encoding="utf-8",
+            )
+        monkeypatch.setattr(machines, "enumerate_range", never)
+        argv = ["ctm-gen", "--states", "4", "--shards", "2", "--resume", "--out", str(out)]
+        assert main(argv) == 0
+        assert CtmTable.load(out).header == (
+            "# states=4 colors=2 step_bound=107 machines=11019960576 mode=exhaustive"
         )
+        assert capsys.readouterr().out == f"wrote {out} (6 entries, 11 halting machines)\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ctm4.tsv"]
 
 
 UTC = timezone.utc

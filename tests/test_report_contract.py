@@ -419,7 +419,6 @@ def test_microsecond_rows_align(tmp_path, capsys, year, src_peaks, dst_n, dst_pe
         ["returns", "m.csv", "--hist-out", "missing/h.csv"],
         ["align", "m.csv", "m.csv", "--out", "missing/a.csv"],
         ["ctm-gen", "--states", "1", "--out", "missing/t.tsv"],
-        ["ctm-gen", "--states", "1", "--budget", "50", "--out", "missing/t.tsv"],
     ],
 )
 def test_unwritable_output_exit_2(tmp_path, monkeypatch, capsys, argv):
@@ -428,24 +427,6 @@ def test_unwritable_output_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("states", ["-1", "0", "5"])
-def test_ctm_gen_sampled_states_out_of_range_exit_2(tmp_path, capsys, states):
-    argv = ["ctm-gen", "--states", states, "--budget", "10", "--out", str(tmp_path / "t.tsv")]
-    assert main(argv) == 2
-    assert "states must be in 1..4" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("states", ["1", "2", "3", "4"])
-@pytest.mark.parametrize("budget", ["0", "-3"])
-def test_ctm_gen_budget_not_positive_exit_2(tmp_path, capsys, states, budget):
-    # a budget of 0 is a sampled run of no machines, not an exhaustive run
-    out = tmp_path / "t.tsv"
-    argv = ["ctm-gen", "--states", states, "--budget", budget, "--out", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "error: budget must be positive\n"
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("d_max", ["0", "-1", "17", "99", str(2**70)])
@@ -457,13 +438,12 @@ def test_ctm_gen_d_max_out_of_range_exit_2(tmp_path, capsys, d_max):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("run", [["--states", "3"], ["--states", "4", "--budget", "10"]])
+@pytest.mark.parametrize("run", [["--states", "3"], ["--states", "4"]])
 def test_ctm_gen_checks_d_max_before_any_machine(tmp_path, capsys, monkeypatch, run):
     def never(*args, **kwargs):
         raise AssertionError("machines ran before --d-max was checked")
 
     monkeypatch.setattr("marketcomplexity.bdm.enumerate_machines", never)
-    monkeypatch.setattr("marketcomplexity.cli.sample_machines", never)
     out = tmp_path / "t.tsv"
     assert main(["ctm-gen", *run, "--d-max", "0", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: d_max must be in 1..16, got 0\n"
@@ -473,31 +453,29 @@ def test_ctm_gen_checks_d_max_before_any_machine(tmp_path, capsys, monkeypatch, 
 @pytest.mark.parametrize(
     "run, error",
     [
-        (["--states", "2", "--budget", "10", "--shards", "2"],
-         "--shards applies only to exhaustive mode, not with --budget"),
-        (["--states", "2", "--budget", "10", "--shards", "0"],
-         "--shards applies only to exhaustive mode, not with --budget"),
-        (["--states", "4", "--budget", "10", "--resume"],
-         "--resume applies only to exhaustive mode, not with --budget"),
-        (["--states", "2", "--seed", "3"], "--seed applies only to sampled mode (--budget)"),
-        (["--states", "4", "--seed", "3"], "states=4 requires --budget (sampled mode)"),
+        (["--states", "-1"], "states must be in 1..4"),
+        (["--states", "0"], "states must be in 1..4"),
+        (["--states", "4", "--shards", "0"], "shards must be at least 1"),
+        (["--states", "4", "--shards", "11019960577", "--resume"],
+         "shards must be at most 11019960576, the machine count"),
+        (["--states", "4", "--shards", "256", "--resume", "--out", "gone/c4.tsv"],
+         "--out: gone is not an existing directory"),
         (["--states", "2", "--shards", "0"], "shards must be at least 1"),
         (["--states", "5"], "states must be in 1..4"),
         (["--states", "0", "--shards", "2", "--resume"], "states must be in 1..4"),
         (["--states", "3", "--out", "gone/c3.tsv"], "--out: gone is not an existing directory"),
-        (["--states", "4", "--budget", "300000", "--out", "gone/c4.tsv"],
-         "--out: gone is not an existing directory"),
+        (["--states", "4", "--out", "gone/c4.tsv"], "--out: gone is not an existing directory"),
         (["--states", "2", "--shards", "3", "--out", "odir"], "--out: odir is a directory"),
-        (["--states", "4", "--budget", "10", "--out", "odir"], "--out: odir is a directory"),
+        (["--states", "4", "--out", "odir"], "--out: odir is a directory"),
         (["--states", "1", "--shards", "37"], "shards must be at most 36, the machine count"),
         (["--states", "2", "--shards", "1000000000000"],
          "shards must be at most 10000, the machine count"),
     ],
 )
 def test_ctm_gen_flags_refused_before_any_machine(tmp_path, capsys, monkeypatch, run, error):
-    """A flag the chosen mode would never read, a state or shard count out
-    of range, or an --out in a missing directory or naming a directory is
-    refused before any machine runs or any file is written."""
+    """A state or shard count out of range, or an --out in a missing
+    directory or naming a directory, is refused before any machine runs or
+    any file is written."""
 
     def never(*args, **kwargs):
         raise AssertionError("machines ran before the flags were checked")
@@ -570,14 +548,13 @@ _ARGVS = st.one_of(
     ),
     _argv("fractal", _one, _opt("--L", _flag_int)),
     _argv("correlate", _two, st.sampled_from([[], ["--movements"]])),
-    # ctm-gen stays at 1-2 states, small budgets and table lengths, or at
-    # values its validation rejects before any run
+    # ctm-gen stays at 1-2 states and small table lengths, or at values its
+    # validation rejects before any run
     _argv(
         "ctm-gen",
         (st.integers(1, 2) | st.sampled_from([-1, 0, 5])).map(lambda n: ["--states", str(n)]),
         _out_path.map(lambda p: ["--out", p.replace(".csv", ".tsv")]),
         _opt("--shards", st.integers(-1, 4).map(str)),
-        _opt("--budget", st.integers(-5, 2000).map(str)),
         _opt("--d-max", (st.integers(1, 8) | st.sampled_from([-1, 0, 17, 99, 2**70])).map(str)),
         st.sampled_from([[], ["--resume"]]),
     ),

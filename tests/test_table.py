@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -5,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from marketcomplexity.bdm import CtmTable, ctm_from_frequency
-from marketcomplexity.bdm.machines import OutputDistribution
+from marketcomplexity.bdm.machines import OutputDistribution, enumerate_range, machine_count
 from marketcomplexity.cli import main
 from marketcomplexity.errors import TableFormatError
 
+CTM4 = Path(__file__).resolve().parents[1] / "tables" / "ctm4.tsv"
 
 HEADER = "# states=2 colors=2 step_bound=6 machines=10 mode=exhaustive\n"
 NOT_HEADER = ": line 1 is not a table header"
@@ -28,14 +30,13 @@ BAD_HEADERS = {
 DUPLICATE = f"{HEADER}0\t2.0\tfallback\n0\t1.605968359\texact\n1\t1.605968359\texact\n"
 
 
-def tiny_dist(counts, halting=None, exhaustive=True):
+def tiny_dist(counts, halting=None):
     return OutputDistribution(
         counts=counts,
         halting=halting or sum(counts.values()),
         machines=100,
         states=2,
         step_bound=6,
-        exhaustive=exhaustive,
     )
 
 
@@ -190,11 +191,10 @@ class TestPersistence:
             CtmTable.load(p)
 
     def test_sampled_table_loads_and_names_itself(self, tmp_path, monkeypatch, capsys):
-        dist = tiny_dist({"0": 2, "1": 2}, exhaustive=False)
+        # as sampled runs of earlier versions wrote them
         header = "# states=2 colors=2 step_bound=6 machines=100 mode=sampled"
         monkeypatch.chdir(tmp_path)
-        ctm_from_frequency(dist, d_max=1).save("s.tsv")
-        assert Path("s.tsv").read_text().splitlines()[0] == header
+        Path("s.tsv").write_text(f"{header}\n0\t1.000000000\texact\n1\t1.000000000\texact\n")
         CtmTable.load("s.tsv").save("again.tsv")
         assert Path("again.tsv").read_bytes() == Path("s.tsv").read_bytes()
         Path("m.csv").write_text("".join(f"2013-01-{d:02d},{d % 5 + 1}\n" for d in range(1, 31)))
@@ -242,3 +242,35 @@ def test_repeated_bitstring_exits_2(tmp_path, monkeypatch, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: dup.tsv:3: bitstring '0' listed twice\n"
     assert not Path("out").exists()
+
+
+class TestCommittedFourStateTable:
+    """`tables/ctm4.tsv`, from `ctm-gen --states 4 --shards 256`, checked
+    without running the whole ensemble again."""
+
+    def test_table(self):
+        assert hashlib.sha256(CTM4.read_bytes()).hexdigest() == (
+            "bf3918f8373f35991746a6903ad00220c7ee467fe7511035cff66af3406d4b22"
+        )
+        table = CtmTable.load(CTM4)
+        assert table.header == (
+            "# states=4 colors=2 step_bound=107 machines=11019960576 mode=exhaustive"
+        )
+        # complement: both blank symbols are counted; reversal: a machine's
+        # mirror, with left and right swapped, writes the reversed output
+        for s, k in table.values.items():
+            assert table.values[s.translate(str.maketrans("01", "10"))] == k
+            assert table.values[s[::-1]] == k
+        # whatever slices of the ensemble produce is counted exactly
+        total = machine_count(4)
+        for share in (0.1, 0.5, 0.9):
+            start = int(total * share)
+            counts, _ = enumerate_range(4, 107, start, start + 100_000)
+            produced = [s for s in counts if len(s) <= table.d_max]
+            assert produced and not table.fallback.intersection(produced)
+
+    def test_bdm_reads_it(self, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_text("".join(f"2013-01-{d:02d},{d * 7 % 11 + 1}\n" for d in range(1, 31)))
+        assert main(["bdm", str(m), "--table", str(CTM4), "--d", "8"]) == 0
+        assert "blocks_missing=0" in capsys.readouterr().out
