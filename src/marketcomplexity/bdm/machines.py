@@ -18,7 +18,9 @@ machines as numpy arrays. Tables indexed by the value of a group of up to
 three index digits decode their transition tables in a few row gathers; a
 tape cell's nonzero mark holds its bit and records a visit; halting
 entries lead to a shared absorbing row. So the step loop neither tracks
-visited bounds nor tests for halts.
+visited bounds nor tests for halts: it drops the halted machines only at
+steps 8, 16, 32, ... and the last. Every stepped machine moves at step 1,
+so steps 1 and 2 read blank cells, and the loop reads no tape there.
 
 One reduction of Soler-Toscano, Zenil, Delahaye & Gauvrit (PLoS ONE 2014)
 cuts the work of the step loop, and it cannot change a count: machines are
@@ -80,6 +82,10 @@ class OutputDistribution:
 # next entry of a halting option, clipped by the kernel to its absorbing row
 _ABSORB = 1 << 62
 
+# added to a digit group's key if it holds a halting entry; the `_chains`
+# index, at most 18**4 at 4 states, stays in the bits below
+_HALT = 1 << 20
+
 
 @functools.cache
 def _option_tables(states: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,11 +106,11 @@ def _group_tables(states: int) -> tuple:
     """Lists of tables, one per group of at most 3 consecutive index digits,
     indexed by its value: its entries' mark written, head move and next
     entry in the row layout of `_entry_tables` (zeros in other groups'
-    columns), 1 if it holds a halting entry, and its share of the index of
-    `_chains`; the last row is the absorbing row's, with 1 and shares that
-    sum to the last index of `_chains`."""
+    columns), and its key, its share of the index of `_chains` plus `_HALT`
+    if it holds a halting entry; the last row is the absorbing row's, with
+    `_HALT` and shares that sum to the last index of `_chains`."""
     base, digits = 4 * states + 2, 2 * states
-    tables = [], [], [], [], []
+    tables = [], [], [], []
     for lo in range(0, digits, 3):
         es = range(lo, min(lo + 3, digits))
         d = np.arange(base ** len(es))[:, None] // base ** np.arange(len(es)) % base
@@ -115,10 +121,9 @@ def _group_tables(states: int) -> tuple:
         for table, option in zip(tables, _option_tables(states)):
             table.append(np.zeros((len(v), 3 * states), dtype=option.dtype))
             table[-1][:, list(cols)] = option[v]
-        tables[3].append(np.append((d < 2).any(axis=1), True).astype(np.uint8))
         blank = np.arange(lo + lo % 2, es.stop, 2)  # its digits e of entries (e // 2, blank)
-        share = d[:, blank - lo] @ base ** (blank // 2)
-        tables[4].append(np.append(share, base**states if lo == 0 else 0))
+        key = d[:, blank - lo] @ base ** (blank // 2) + (d < 2).any(axis=1) * _HALT
+        tables[3].append(np.append(key, (base**states if lo == 0 else 0) + _HALT))
     return tables
 
 
@@ -149,10 +154,10 @@ def _chains(states: int) -> np.ndarray:
 
 
 def _gathered(tables: list, g: np.ndarray) -> np.ndarray:
-    """Rows `g[i]` of each group's table `tables[i]`, or-ed together."""
+    """Rows `g[i]` of each group's table `tables[i]`, summed."""
     out = tables[0].take(g[0], axis=0)
     for t, v in zip(tables[1:], g[1:]):
-        out |= t.take(v, axis=0)
+        out += t.take(v, axis=0)
     return out
 
 
@@ -165,22 +170,23 @@ def _entry_tables(states: int, step_bound: int, m: np.ndarray) -> tuple:
     the machines that halt on blank tape by step `step_bound`, counted in a
     dict without zero counts. The rest of `m` never halts within
     `step_bound` steps. A machine's rows in the `_group_tables` of its
-    digit groups fill disjoint columns, so or-ed they make its row."""
-    *tables, halt, share = _group_tables(states)
+    digit groups fill disjoint columns, so summed they make its row."""
+    *tables, key = _group_tables(states)
     # the digit groups' values by scalar floor division, then the absorbing rows
-    g = np.empty((len(halt), len(m) + 1), dtype=np.int64)
-    g[:, -1] = sizes = [len(h) - 1 for h in halt]
+    g = np.empty((len(key), len(m) + 1), dtype=np.int64)
+    g[:, -1] = sizes = [len(k) - 1 for k in key]
     g[-1, :-1] = rest = m
     for i, size in enumerate(sizes[:-1]):
         q = np.floor_divide(rest, size, out=g[i + 1, :-1])
         np.subtract(rest, q * size, out=g[i, :-1])
         rest = q
-    fate = _chains(states).take(sum(map(np.take, share, g)))
+    k = _gathered(key, g)
+    fate = _chains(states).take(k & (_HALT - 1))
     # the codes of the halts by step `step_bound` lie below 2 << step_bound
     found = np.bincount(fate)[2 : 2 << min(step_bound, states)].tolist()
     halts = {format(c, "b")[1:]: n for c, n in enumerate(found, 2) if n}
     # step those that turn back and have a halting entry, and the absorbing row
-    g = g.take((_gathered(halt, g) & (fate == 1)).nonzero()[0], axis=1)
+    g = g.take(((k >= _HALT) & (fate == 1)).nonzero()[0], axis=1)
     write, move, nxt = (_gathered(t, g) for t in tables)
     rows = np.arange(0, nxt.size, 3 * states)
     nxt += rows[:, None]
@@ -197,19 +203,20 @@ def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray,
     `_entry_tables` returns them.
 
     A halted machine idles in the absorbing row until the next compaction,
-    after steps 4, 8, 16, ... and the last (a stepped machine turns back at
-    step 2 at the earliest, so none halts before step 3)."""
+    after steps 8, 16, 32, ... and the last. A stepped machine moves at
+    step 1 and turns back at step 2 at the earliest, so steps 1 and 2 read
+    blank cells, the tape is read from step 3 on, and none halts before."""
     write, move, nxt, cur, halts = _entry_tables(states, step_bound, m)
     absorb, width, start = len(nxt) - 3 * states, 2 * step_bound + 3, step_bound + 1
     tape = np.zeros(len(cur) * width, dtype=np.uint8)
     pos = np.arange(start, len(tape), width)
     done, reach = [pos[:0]], 1
     for step in range(1, step_bound + 1):
-        e = cur + tape[pos]
+        e = cur + tape[pos] if step > 2 else cur
         tape[pos] = write[e]
         pos += move[e]
         cur = nxt[e]
-        if step > 2 and (step == step_bound or step & (step - 1) == 0):
+        if step == step_bound or step > 4 and step & (step - 1) == 0:
             live = cur != absorb
             done.append(pos[~live])
             pos, cur = pos[live], cur[live]
@@ -222,13 +229,14 @@ def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray,
 _MARK_BITS = bytes.maketrans(b"\x01\x02", b"10")
 
 
-def _region_counts(rows: np.ndarray, out: Counter) -> int:
+def _region_counts(rows: np.ndarray, out: dict[str, int]) -> int:
     """Adds the outputs on the tape rows `rows` into the counts `out` and
     returns their number. A row's output is its run of visited cells,
     marked 1 for bit 1 and 2 for bit 0."""
     keys = Counter(rows.view(f"S{rows.shape[1]}").ravel().tolist())
     for k, c in keys.items():
-        out[k.translate(_MARK_BITS, b"\0").decode()] += c
+        s = k.translate(_MARK_BITS, b"\0").decode()
+        out[s] = out.get(s, 0) + c
     return len(rows)
 
 
@@ -252,13 +260,14 @@ def enumerate_range(
 def _run_batches(states: int, step_bound: int, batches) -> tuple[Counter, int]:
     """Summed output counts of `_run_batch` over an iterable of index arrays:
     the counts of every output, none of them zero, and their total."""
-    counts: Counter = Counter()
+    counts: dict[str, int] = {}
     halting = 0
     for m in batches:
         rows, halts = _run_batch(states, step_bound, m)
+        for s, c in halts.items():
+            counts[s] = counts.get(s, 0) + c
         halting += _region_counts(rows, counts) + sum(halts.values())
-        counts.update(halts)
-    return counts, halting
+    return Counter(counts), halting
 
 
 def symmetrize_counts(counts: dict[str, int] | Counter) -> Counter:

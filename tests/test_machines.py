@@ -94,10 +94,10 @@ def reference_range(states, step_bound, start, stop):
 
 THREE = machine_count(3)
 
-# The first compaction step at or after `states`. Step bounds from 0 to
-# just past it cover every step at which a machine halts on blank tape (at
-# most `states`) and the first halts after a turn back (from step 3), where
-# a machine decided on blank tape one step off would show.
+# The first power of two at or after `states`. Step bounds from 0 to just
+# past it cover every step at which a machine halts on blank tape (at most
+# `states`) and the first halts after a turn back (from step 3), where a
+# machine decided on blank tape one step off would show.
 ESCAPE = {states: 1 << (max(states, 2) - 1).bit_length() for states in KNOWN_STEP_BOUNDS}
 
 
@@ -184,9 +184,11 @@ class TestKernelAgainstReference:
     def test_slices_at_step_bounds_around_the_blank_tape_decisions(self, states):
         # chain halters halt by step `states`, and the first machines that
         # turn back halt at step 3; slices spread over the index range, so
-        # that the blank-read digits above the low ones vary too
+        # that the blank-read digits above the low ones vary too. Bounds
+        # 7-9 and 15-17 lie around the compactions after steps 8 and 16,
+        # the first that collect halts other than at the last step.
         total = machine_count(states)
-        for bound in range(ESCAPE[states] + 3):
+        for bound in [*range(ESCAPE[states] + 3), 7, 8, 9, 15, 16, 17]:
             for share in np.linspace(0.05, 0.95, 7):
                 start = int(total * share)
                 assert enumerate_range(states, bound, start, start + 600) == reference_range(
@@ -227,8 +229,8 @@ class TestKernelAgainstReference:
          (3, THREE - 3000, THREE)],
     )
     def test_no_stepped_machine_halts_by_step_2(self, states, start, stop):
-        # a stepped machine turns back at step 2 or later, so the kernel
-        # compacts from step 3 on: every halt by step 2 is counted without
+        # a stepped machine turns back at step 2 or later, so it first reads
+        # a cell it wrote at step 3: every halt by step 2 is counted without
         # a step, and the first stepped halts come at step 3
         m = np.arange(start, stop, dtype=np.int64)
         for bound in (1, 2, 3):
@@ -238,6 +240,34 @@ class TestKernelAgainstReference:
             halting = _region_counts(rows, counts) + sum(halts.values())
             assert (counts, halting) == reference_range(states, bound, start, stop)
 
+
+    @pytest.mark.parametrize(
+        "states, start, stop",
+        [(2, 0, 10_000), (3, 0, 1500), (3, THREE // 2, THREE // 2 + 1500),
+         (3, THREE - 1500, THREE), (4, 0, 1500), (4, FOUR // 2, FOUR // 2 + 1500),
+         (4, FOUR - 1500, FOUR)],
+    )
+    def test_stepped_machines_read_blank_cells_at_steps_1_and_2(self, states, start, stop):
+        # the step loop reads no tape at steps 1 and 2: every machine that
+        # `_entry_tables` hands it must move off the start cell at step 1
+        # and read a cell no step wrote at step 2, walked as `run_machine`
+        # walks it
+        base, bound = 4 * states + 2, KNOWN_STEP_BOUNDS[states]
+        stepped = [
+            i for i in range(start, stop)
+            if len(machines._entry_tables(states, bound, np.array([i], dtype=np.int64))[3])
+        ]
+        assert stepped
+        for i in stepped:
+            entries = [i // base**e % base for e in range(2 * states)]
+            tape, head, state = {}, 0, 0
+            for _ in range(2):
+                assert head not in tape
+                v = entries[2 * state]  # the entry for (state, blank)
+                assert v >= 2, f"machine {i} halts on its blank read"
+                tape[head] = (v - 2) & 1
+                head += 1 if (v - 2) & 2 else -1
+                state = (v - 2) >> 2
 
 
 def option(write, right, state):
@@ -497,7 +527,7 @@ def digit_entry_tables(states, step_bound, m):
 
 
 class TestEntryTables:
-    """`_entry_tables` ors together rows of tables indexed by groups of at
+    """`_entry_tables` sums rows of tables indexed by groups of at
     most 3 index digits and decides machines on blank tape from `_chains`;
     it must hand the kernel exactly the machines and tables of the
     per-digit decode and per-machine walk, dtypes included, and the same
