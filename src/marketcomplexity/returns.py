@@ -127,7 +127,8 @@ def _fd_bin_count(x: np.ndarray) -> int:
     width = 2.0 * (q75 - q25) * x.size ** (-1.0 / 3.0)
     if not width:
         return 1
-    bins = np.ceil((x.max() - x.min()) / width)
+    with np.errstate(over="ignore"):  # an overflow is an infinite count, refused below
+        bins = np.ceil((x.max() - x.min()) / width)
     if bins > MAX_HISTOGRAM_BINS:
         raise DegenerateSeriesError(
             f"Freedman-Diaconis binning asks for {bins:.3g} bins, "

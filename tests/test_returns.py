@@ -188,6 +188,13 @@ class TestHistogram:
         with pytest.raises(DegenerateSeriesError, match="Freedman-Diaconis binning asks for"):
             build_histogram(x)
 
+    def test_overflowing_bin_count_is_refused_without_warning(self):
+        # a subnormal bin width beside a huge range: the count overflows to
+        # inf, which is refused like any count above the limit
+        x = np.array([0.0] * 3 + [5e-324] * 3 + [1e308])
+        with pytest.raises(DegenerateSeriesError, match="asks for inf bins"):
+            _fd_bin_count(x)
+
     @pytest.mark.parametrize(
         "edges, observed, expected, message",
         [
@@ -245,7 +252,8 @@ def test_fd_bin_count_matches_numpy(xs, scale):
     # the edges only below the limit keeps a wrong count from exhausting
     # memory
     width = 2.0 * np.subtract(*np.percentile(x, [75, 25])) * x.size ** (-1.0 / 3.0)
-    numpy_bins = np.ceil((x.max() - x.min()) / width) if width else 1
+    with np.errstate(over="ignore"):  # numpy's count too may overflow to inf
+        numpy_bins = np.ceil((x.max() - x.min()) / width) if width else 1
     if numpy_bins > MAX_HISTOGRAM_BINS:
         with pytest.raises(DegenerateSeriesError):
             _fd_bin_count(x)
