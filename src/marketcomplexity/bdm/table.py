@@ -20,6 +20,7 @@ from math import inf, log2
 from pathlib import Path
 
 from ..errors import TableFormatError
+from ..ingest import text_lines
 from .machines import OutputDistribution, write_replacing
 
 # longest tabulated string; 16 gives 2**17 - 2 entries, and each further
@@ -70,10 +71,9 @@ class CtmTable:
     @classmethod
     def load(cls, path: str | Path) -> "CtmTable":
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            lines = text_lines(Path(path).read_bytes())
         except (OSError, UnicodeDecodeError) as exc:
             raise TableFormatError(f"{path}: cannot read table: {exc}")
-        lines = text.splitlines()
         if not lines or not _HEADER.fullmatch(lines[0]):
             raise TableFormatError(f"{path}: line 1 is not a table header")
         values: dict[str, float] = {}

@@ -21,21 +21,21 @@ from . import fractal as fractal_mod, lzw as lzw_mod, returns as returns_mod
 from .analysis import compute_market_metrics, correlate_markets, report_csv
 from .bdm import CtmTable, bdm as bdm_fn, check_d_max, ctm_from_frequency
 from .bdm import remove_checkpoints
-from .errors import ConfigError, MarketComplexityError
-from .ingest import KINDS, PriceSeries, parse_csv, parse_date, serialize_csv
-
-
-def _read(path: str, what: str) -> bytes:
-    """The bytes of the file at `path`; failing that, a ConfigError naming it `what`."""
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}")
+from .errors import ConfigError, CsvParseError, MarketComplexityError, SeriesTooShortError
+from .ingest import KINDS, PriceSeries, parse_csv, parse_date, serialize_csv, text_lines
 
 
 def _read_series(path: str, id: str = "", kind: str = "stock index") -> PriceSeries:
     """A price file as a series named `id`, or after the file's stem."""
-    return parse_csv(_read(path, "input file"), id=id or Path(path).stem, kind=kind)
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read input file {path}: {exc}")
+    try:
+        return parse_csv(data, id=id or Path(path).stem, kind=kind)
+    except (CsvParseError, SeriesTooShortError) as exc:
+        exc.args = (f"{path}: {exc}",)  # name the file at fault
+        raise
 
 
 def _write(path: str | Path, text: str, config_hash: str = "none") -> None:
@@ -85,16 +85,16 @@ def _aligned_name(src_id: str, dst_id: str) -> str:
 def parse_config(path: str) -> SimpleNamespace:
     """Flat `key = value` config file; only `market` and `pair` keys repeat.
     The result holds each key's field, and `config_hash` of the file's bytes."""
-    raw = _read(path, "config file")
     try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
+        raw = Path(path).read_bytes()
+        lines = text_lines(raw)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     digest = hashlib.sha256(raw).hexdigest()[:12]
     defaults = {name: default for name, _, default in _FIELD_KEYS.values()}
     cfg = SimpleNamespace(markets=[], pairs=[], config_hash=digest, **defaults)
     given = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -185,6 +185,17 @@ def numeric_csv(header: str, *columns: np.ndarray) -> str:
     return "\n".join([header, *map(",".join, rows), ""])
 
 
+def text_lines(data: bytes | str) -> list[str]:
+    """The lines of a text input: bytes are UTF-8 after at most one
+    byte-order mark, a line ends at `\\n`, `\\r\\n` or a lone `\\r` only, and
+    a final line end adds no empty line. Raises UnicodeDecodeError."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8-sig")
+    if "\r" in data:
+        data = data.replace("\r\n", "\n").replace("\r", "\n")
+    return data.removesuffix("\n").split("\n") if data else []
+
+
 def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
     """Parse `date,price` lines into a validated PriceSeries.
 
@@ -198,12 +209,10 @@ def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
     read in one bulk pass over its columns. Any other file, and every
     error, goes through one strip/split/`parse_date` loop over the lines.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise CsvParseError(f"input is not UTF-8: {exc}")
-    lines = data.splitlines()
+    try:
+        lines = text_lines(data)
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"input is not UTF-8: {exc}")
     columns = _parse_iso_rows(lines)
     if columns is not None:
         return PriceSeries(id, kind, *columns)

@@ -8,6 +8,11 @@ from marketcomplexity.ingest import DAY_US, PriceSeries, epoch_us
 
 START = datetime(2013, 1, 1, tzinfo=timezone.utc)
 
+# the line ends of every text input, and the other characters
+# `str.splitlines` breaks at, which stay inside their line
+LINE_ENDS = ["\n", "\r\n", "\r"]
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 def daily_series(prices, id="TEST", kind="stock index", start=START):
     times = epoch_us(start) + DAY_US * np.arange(len(prices))

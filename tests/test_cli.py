@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import marketcomplexity
 from marketcomplexity import __version__
@@ -18,6 +19,9 @@ from marketcomplexity.bdm.machines import (
     shard_ranges,
 )
 from marketcomplexity.cli import build_parser, main, parse_config
+from marketcomplexity.errors import ConfigError
+
+from conftest import LINE_ENDS, NOT_LINE_ENDS
 
 
 def write_market(dir, name, prices, start=date(2013, 1, 1)):
@@ -576,10 +580,44 @@ class TestReportConfig:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "run.cfg"]
 
     def test_unknown_key_rejected(self, tmp_path):
-        from marketcomplexity.errors import ConfigError
-
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, "no.such.key = 1\n"))
+
+    def test_other_separators_stay_in_their_line(self, tmp_path, capsys):
+        # `\x85` ends no line, so the value that holds it is refused on its own line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# one key\nbdm.d = 3\x85x\n".encode())
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: invalid literal for int() with base 10: '3\\x85x'\n"
+        )
+
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["", "# note", "market = M, stock index, m.csv", "pair = A, B"]),
+                st.sampled_from(["", *NOT_LINE_ENDS]),
+                st.sampled_from(LINE_ENDS),
+            ),
+            max_size=20,
+        ),
+        st.sampled_from(["bdm.d = x", "bdm.d 4", "no.such.key = 1"]),
+        st.sampled_from(LINE_ENDS),
+    )
+    def test_error_line_counts_line_ends(self, tmp_path, good, fault, end):
+        # the other separators, here at the end of a line, end none; a
+        # `\r` then a `\n` is one line end
+        text = "".join(line + char + line_end for line, char, line_end in good)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"{text}{fault}{end}bdm.d = 3{end}".encode())
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        line_ends = len(re.findall("\r\n|\r|\n", text))
+        assert str(exc.value).startswith(f"{cfg}:{line_ends + 1}: ")
 
 
 class TestReportCommand:
@@ -702,6 +740,19 @@ class TestReportCommand:
         assert main(["report", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "line 29" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_market_file_is_named(self, tmp_path, capsys):
+        a = write_market(tmp_path, "a.csv", walk_prices(18))
+        b = write_market(tmp_path, "b.csv", ["1.5", "x", "2"])
+        cfg = write_config(
+            tmp_path,
+            f"market = A, stock index, {a}\n"
+            f"market = B, stock index, {b}\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {b}: line 2: invalid price 'x'\n"
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_returns_exit_1(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from marketcomplexity.fractal import (
     hw_area,
     to_unit_grid,
 )
-from marketcomplexity.synthetic import fbm, random_walk
+from marketcomplexity.synthetic import fbm, path_to_series, random_walk
 
 from conftest import daily_series
 
@@ -141,6 +141,11 @@ class TestOls:
     def test_fbm_hurst_out_of_range(self, hurst):
         with pytest.raises(ValueError, match=r"hurst must lie in \(0, 1\)"):
             fbm(10, hurst, np.random.default_rng(0))
+
+    def test_flat_path_gives_flat_series(self):
+        # a path with no spread is not standardized: every price is the base
+        s = path_to_series(np.zeros(6), "FLAT", "stock index")
+        assert s.prices.tolist() == [100.0] * 6
 
     def test_L_too_small(self):
         g = UnitGridSeries.from_values(np.arange(20, dtype=float))

@@ -14,10 +14,11 @@ from marketcomplexity.ingest import (
     parse_csv,
     parse_date,
     serialize_csv,
+    text_lines,
     to_absolute_time,
 )
 
-from conftest import daily_series, edge_floats
+from conftest import LINE_ENDS, NOT_LINE_ENDS, daily_series, edge_floats
 
 
 def gregorian_day_count(target: date) -> int:
@@ -203,6 +204,77 @@ class TestByteOrderMark:
         )
 
 
+class TestTextLines:
+    """One rule for every text input: a line ends at `\\n`, `\\r\\n` or a lone
+    `\\r`, and bytes are UTF-8 after at most one byte-order mark."""
+
+    @pytest.mark.parametrize(
+        "data, lines",
+        [
+            ("", []),
+            ("\n", [""]),
+            ("a", ["a"]),
+            ("a\n", ["a"]),
+            ("a\n\n", ["a", ""]),
+            ("a\r\nb\rc\n", ["a", "b", "c"]),
+            ("a\r\rb", ["a", "", "b"]),
+            ("a\n\rb", ["a", "", "b"]),
+            (BOM + b"a\r\n", ["a"]),
+            (BOM + BOM + b"a", ["\ufeffa"]),
+            ("\ufeffa", ["\ufeffa"]),  # text is taken as it is
+        ],
+    )
+    def test_line_ends(self, data, lines):
+        assert text_lines(data) == lines
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_other_separators_stay_in_their_line(self, char):
+        assert text_lines(f"a{char}b\nc{char}\n") == [f"a{char}b", f"c{char}"]
+        assert text_lines(f"a{char}b\n".encode()) == [f"a{char}b"]
+
+    def test_bytes_must_be_utf8(self):
+        with pytest.raises(UnicodeDecodeError):
+            text_lines(b"a\xe9\n")
+
+    @pytest.mark.parametrize("end", LINE_ENDS)
+    def test_every_line_end_reads_the_same_series(self, end):
+        rows = ["2013-01-01,1.5", "2013-01-02,2", "03/01/2013,3"]
+        for data in (rows[:2], rows):  # the bulk pass, then the per-line loop
+            want = parse_csv("\n".join(data) + "\n", "X", "stock index")
+            got = parse_csv(end.join(data).encode(), "X", "stock index")
+            assert got.times.tolist() == want.times.tolist()
+            assert got.prices.tolist() == want.prices.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["row", "blank", "comment"]),
+                st.sampled_from(["", *NOT_LINE_ENDS]),
+                st.sampled_from(LINE_ENDS),
+            ),
+            max_size=20,
+        ),
+        st.sampled_from(["2099-01-01,x", "2013-02-30,1", "2099-01-01,1,2"]),
+        st.sampled_from(LINE_ENDS),
+    )
+    def test_error_line_counts_line_ends(self, good, fault, end):
+        # the other separators, here at the end of a line, end none; a
+        # `\r` then a `\n` is one line end
+        text = ""
+        for i, (kind, char, line_end) in enumerate(good):
+            line = {
+                "row": f"{date(2013, 1, 1) + timedelta(days=i)},{i + 1}",
+                "blank": "",
+                "comment": "# note",
+            }[kind]
+            text += line + char + line_end
+        line_ends = len(re.findall("\r\n|\r|\n", text))
+        with pytest.raises(CsvParseError) as exc:
+            parse_csv(text + fault + end + "2099-01-02,1" + end, "X", "stock index")
+        assert exc.value.line == line_ends + 1
+
+
 class TestColumnarSeries:
     def test_columns(self):
         s = parse_csv(b"1900-01-02T00:00:00.5,2\n1900-01-01,1", "X", "stock index")
@@ -357,7 +429,7 @@ _BAD_MONTHS = ["00", "13", "0:", "1 "]
 _EARLY_DATES = ["1899-12-31", "1000-01-01", "0000-01-01"]
 _BAD_PRICES = ["0", "-1", "-0.0", "nan", "inf", "1e999", "1_0", "", "1e-400"]
 _DEFECTS = ["none"] * 3 + [
-    "day", "month", "early", "duplicate", "order", "price", "trail", "crlf", "blank"
+    "day", "month", "early", "duplicate", "order", "price", "trail", "crlf", "cr", "blank"
 ]
 _PRICES_OK = st.floats(min_value=1e-300, max_value=1e300).map(repr) | st.integers(1, 99).map(str)
 
@@ -391,6 +463,8 @@ def _fixed_width_files(draw):
         rows[i] += draw(st.sampled_from([" ", "\t"]))
     elif defect == "crlf":
         sep = "\r\n"
+    elif defect == "cr":
+        sep = "\r"
     elif defect == "blank":
         rows.append("")
     return rows, sep

@@ -504,7 +504,7 @@ def test_ctm_gen_flags_refused_before_any_machine(tmp_path, capsys, monkeypatch,
 def test_bad_price_file_exit_2(tmp_path, capsys, body, error):
     (tmp_path / "m.csv").write_bytes(body)
     assert main(["ingest", str(tmp_path / "m.csv")]) == 2
-    assert capsys.readouterr().err == f"error: {error}\n"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'm.csv'}: {error}\n"
 
 
 def _main_exit_code(argv: list[str]) -> int:

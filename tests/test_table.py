@@ -4,11 +4,14 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from marketcomplexity.bdm import CtmTable, ctm_from_frequency
 from marketcomplexity.bdm.machines import OutputDistribution, enumerate_range, machine_count
 from marketcomplexity.cli import main
 from marketcomplexity.errors import TableFormatError
+
+from conftest import LINE_ENDS, NOT_LINE_ENDS
 
 CTM4 = Path(__file__).resolve().parents[1] / "tables" / "ctm4.tsv"
 
@@ -208,6 +211,61 @@ class TestPersistence:
         line = path.read_text().splitlines()[1]
         kfield = line.split("\t")[1]
         assert len(kfield.split(".")[1]) == 9
+
+
+_COUNTS = st.integers(0, 10**12).map(str)
+
+
+@st.composite
+def _saved_tables(draw):
+    """A table text in the form `save` writes: the header, then every
+    string up to a length in counting order, with a K of nine decimals."""
+    header = (
+        f"# states={draw(_COUNTS)} colors=2 step_bound={draw(_COUNTS)} "
+        f"machines={draw(_COUNTS)} mode={draw(st.sampled_from(['exhaustive', 'sampled']))}"
+    )
+    lines = [header]
+    for length in range(1, draw(st.integers(1, 4)) + 1):
+        for val in range(1 << length):
+            k = draw(st.integers(1, 10**12))
+            tag = draw(st.sampled_from(["exact", "fallback"]))
+            lines.append(f"{val:0{length}b}\t{k // 10**9}.{k % 10**9:09d}\t{tag}")
+    return "\n".join(lines) + "\n"
+
+
+class TestTextRule:
+    """A table reads through the same line rule as price files and configs."""
+
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(_saved_tables(), st.sampled_from(LINE_ENDS), st.booleans())
+    def test_saved_form_saves_back_byte_for_byte(self, tmp_path, text, end, bom):
+        p, again = tmp_path / "t.tsv", tmp_path / "again.tsv"
+        p.write_bytes(text.encode())
+        table = CtmTable.load(p)
+        table.save(again)
+        assert again.read_bytes() == p.read_bytes()
+        # another line end, or a leading byte-order mark, reads the same table
+        p.write_bytes(b"\xef\xbb\xbf" * bom + text.replace("\n", end).encode())
+        assert CtmTable.load(p) == table
+
+    def test_second_byte_order_mark_is_refused(self, tmp_path):
+        p = tmp_path / "t.tsv"
+        p.write_bytes(b"\xef\xbb\xbf" * 2 + f"{HEADER}0\t1.0\texact\n1\t1.0\texact\n".encode())
+        with pytest.raises(TableFormatError, match=re.escape(f"{p}{NOT_HEADER}")):
+            CtmTable.load(p)
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_other_separator_after_header_is_refused(self, tmp_path, monkeypatch, capsys, char):
+        # the header line holds the character, so it is not a header, and
+        # the table cannot load and save back different bytes
+        monkeypatch.chdir(tmp_path)
+        Path("t.tsv").write_bytes(f"{HEADER[:-1]}{char}\n0\t1.0\texact\n1\t1.0\texact\n".encode())
+        Path("m.csv").write_text("".join(f"2013-01-{d:02d},{d % 5 + 1}\n" for d in range(1, 31)))
+        assert main(["bdm", "m.csv", "--table", "t.tsv", "--d", "1"]) == 2
+        assert capsys.readouterr().err == f"error: t.tsv{NOT_HEADER}\n"
 
 
 def test_all_k_positive(table3):
