@@ -210,17 +210,19 @@ def _run_batch(states: int, step_bound: int, m: np.ndarray) -> tuple[np.ndarray,
     absorb, width, start = len(nxt) - 3 * states, 2 * step_bound + 3, step_bound + 1
     tape = np.zeros(len(cur) * width, dtype=np.uint8)
     pos = np.arange(start, len(tape), width)
-    done, reach = [pos[:0]], 1
+    done, reach = [], 1
     for step in range(1, step_bound + 1):
         e = cur + tape[pos] if step > 2 else cur
         tape[pos] = write[e]
         pos += move[e]
         cur = nxt[e]
-        if step == step_bound or step > 4 and step & (step - 1) == 0:
+        if 4 < step < step_bound and step & (step - 1) == 0:
             live = cur != absorb
             done.append(pos[~live])
             pos, cur = pos[live], cur[live]
             reach = step if len(done[-1]) else reach
+    done.append(pos[cur == absorb])  # after the last step, nothing reads the live rows
+    reach = step_bound if len(done[-1]) else reach
     # a machine halted by step `reach` visited only the start cell +- (reach - 1)
     halted = np.concatenate(done) // width
     return tape.reshape(-1, width)[halted, start + 1 - reach : start + reach], halts

@@ -9,7 +9,6 @@ output path).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -90,6 +89,7 @@ def parse_config(path: str) -> SimpleNamespace:
         lines = text_lines(raw)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
+    import hashlib  # here, so that a run without a config never loads OpenSSL
     digest = hashlib.sha256(raw).hexdigest()[:12]
     defaults = {name: default for name, _, default in _FIELD_KEYS.values()}
     cfg = SimpleNamespace(markets=[], pairs=[], config_hash=digest, **defaults)
@@ -300,13 +300,8 @@ def cmd_fractal(args, s: PriceSeries) -> int:
 
 
 def cmd_correlate(args, src: PriceSeries, dst: PriceSeries) -> int:
-    value = correlate_markets(
-        src,
-        dst,
-        align_mod.peak_anchors(src),
-        align_mod.peak_anchors(dst),
-        movements=args.movements,
-    )
+    anchors = align_mod.peak_anchors(src), align_mod.peak_anchors(dst)
+    value = correlate_markets(src, dst, *anchors, movements=args.movements)
     what = "movements" if args.movements else "prices"
     print(f"correlation({what})={value!r}")
     return 0

@@ -10,6 +10,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from itertools import compress
 
 import numpy as np
 
@@ -24,10 +25,7 @@ _DMY_RE = re.compile(r"^(\d{2})/(\d{2})/(\d{4})$")
 _US = timedelta(microseconds=1)
 DAY_US = 86_400_000_000
 
-# the bulk pass: where a raw `YYYY-MM-DD,` head has its separators and its
-# digits, and the epoch's day on numpy's calendar
-_SEPARATORS = np.frombuffer(b"--,", dtype=np.uint8)
-_DIGIT_COLUMNS = [0, 1, 2, 3, 5, 6, 8, 9]
+# the epoch's day on numpy's calendar
 _EPOCH_DAY = np.datetime64("1900-01-01", "D")
 
 
@@ -199,95 +197,98 @@ def text_lines(data: bytes | str) -> list[str]:
 def parse_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
     """Parse `date,price` lines into a validated PriceSeries.
 
-    Line 1 is skipped as a header when neither of its fields parses (as
-    in `date,price`); a line 1 with one bad field is an error. Duplicate
-    calendar days are rejected rather than averaged, and so are dates
-    before the 1900 epoch.
-
-    A file made only of raw `YYYY-MM-DD,<price>` lines, with strictly
-    increasing days on or after the epoch and positive finite prices, is
-    read in one bulk pass over its columns. Any other file, and every
-    error, goes through one strip/split/`parse_date` loop over the lines.
+    Line 1 is skipped as a header when neither of its fields parses (as in `date,price`);
+    a line 1 with one bad field is an error. Duplicate calendar days are rejected rather
+    than averaged, and so are dates before the 1900 epoch. Every file takes one path:
+    raw `YYYY-MM-DD,<price>` rows are read over their columns wherever they sit, every
+    other line by `_row`, and an error names the first bad line.
     """
     try:
         lines = text_lines(data)
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"input is not UTF-8: {exc}")
-    columns = _parse_iso_rows(lines)
-    if columns is not None:
-        return PriceSeries(id, kind, *columns)
-    times: list[int] = []
-    prices: list[float] = []
-    seen_days: set[int] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise CsvParseError(f"expected 2 columns, got {len(parts)}", line=lineno)
-        if lineno == 1 and not (_parses(parse_date, parts[0]) or _parses(float, parts[1])):
-            continue  # a header: neither field parses
+    rows, times, prices = _plain_rows(lines)
+    error, others = None, []
+    for i in np.flatnonzero(~rows).tolist():
         try:
-            ts = parse_date(parts[0])
-        except ValueError as exc:
-            raise CsvParseError(str(exc), line=lineno)
-        try:
-            price = float(parts[1])
-        except ValueError:
-            raise CsvParseError(f"invalid price {parts[1]!r}", line=lineno)
-        if not 0 < price < math.inf:
-            raise CsvParseError(f"price {parts[1]!r} is not positive and finite", line=lineno)
-        us = epoch_us(ts)
-        if us < 0:
-            raise CsvParseError(
-                f"date {ts.isoformat()} precedes the 1900-01-01 epoch", line=lineno
-            )
-        day = us // DAY_US
-        if day in seen_days:
-            raise CsvParseError(f"duplicate date {ts.date().isoformat()}", line=lineno)
-        seen_days.add(day)
-        times.append(us)
-        prices.append(price)
+            if (row := _row(i + 1, lines[i])) is not None:
+                others.append((i, *row))
+        except CsvParseError as exc:
+            error, rows[i:] = exc, False  # reading in order stops here
+            break
+    if others:
+        at, us, price = map(np.array, zip(*others))
+        rows[at], times[at], prices[at] = True, us, price
+    times, prices = times[rows], prices[rows]
+    days = times // DAY_US
+    if (np.diff(days) <= 0).any():  # else the rows are in order, with no day twice
+        order = np.argsort(days, kind="stable")
+        repeats = order[1:][np.diff(days[order]) == 0]  # each but the first of its day
+        if len(repeats):
+            first = repeats.min()
+            day = from_epoch_us(times[first]).date()
+            raise CsvParseError(f"duplicate date {day}", line=int(np.flatnonzero(rows)[first]) + 1)
+        times, prices = times[order], prices[order]
+    if error is not None:
+        raise error
     if len(times) < 2:
-        raise SeriesTooShortError(
-            f"series {id!r}: parsed {len(times)} points, need at least 2"
-        )
-    order = np.argsort(times, kind="stable")
-    return PriceSeries(id, kind, np.array(times)[order], np.array(prices)[order])
+        raise SeriesTooShortError(f"series {id!r}: parsed {len(times)} points, need at least 2")
+    return PriceSeries(id, kind, times, prices)
 
 
-def _parse_iso_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The times and prices of at least 2 raw `YYYY-MM-DD,<price>` lines
-    with strictly increasing days on or after the epoch and prices in
-    (0, inf), or None when the lines are anything else. Prices come from
-    the same `float` as in the per-line loop."""
-    if len(lines) < 2:
-        return None
-    try:
-        heads = "".join([line[:11] for line in lines]).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    if len(heads) != 11 * len(lines):
-        return None
-    chars = np.frombuffer(heads, dtype=np.uint8).reshape(-1, 11)
-    digits = chars[:, _DIGIT_COLUMNS] - ord("0")  # uint8: a byte below "0" wraps past 9
-    if (chars[:, [4, 7, 10]] != _SEPARATORS).any() or (digits > 9).any():
-        return None
-    try:  # numpy's proleptic Gregorian calendar refuses an impossible month or day
-        dates = chars[:, :10].view("S10").ravel().astype("datetime64[D]")
-    except ValueError:
-        return None
+def _plain_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A mask of the raw `YYYY-MM-DD,<price>` lines on or after the epoch with a price
+    in (0, inf) by `float`, and times and prices columns over all lines, set there."""
+    times, prices = np.zeros(len(lines), np.int64), np.zeros(len(lines))
+    # a byte a character, line i starts after the i-th "\n", and a line shorter
+    # than a head reads a "\n" or a " " past its end, which no head column accepts
+    chars = np.frombuffer(("\n".join(["", *lines]) + " " * 11).encode("ascii", "replace"), "u1")
+    heads = np.lib.stride_tricks.sliding_window_view(chars, 11)[np.flatnonzero(chars == 10) + 1]
+    digits = heads[:, [0, 1, 2, 3, 5, 6, 8, 9]] - ord("0")  # uint8: below "0" wraps past 9
+    plain = (heads[:, [4, 7, 10]] == list(b"--,")).all(1) & (digits <= 9).all(1)
+    if not plain.any():
+        return plain, times, prices
+    century, year, month, day = (10 * digits[:, ::2] + digits[:, 1::2]).astype(np.int64).T
+    months = ((100 * century + year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    # a day past its month's end lands in a later month, day 0 in an earlier one
+    dates = months.astype("datetime64[D]") + (day - 1)
     days = (dates - _EPOCH_DAY).astype(np.int64)
-    if days[0] < 0 or not (np.diff(days) > 0).all():
+    plain &= (month >= 1) & (month <= 12) & (dates.astype("datetime64[M]") == months) & (days >= 0)
+    texts = [line[11:] for line in compress(lines, plain.tolist())]
+    try:
+        closes = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:  # a bad price, which `_row` names
+        closes = np.array([float(t) if _parses(float, t) else math.nan for t in texts])
+    plain[plain] = valid = (closes > 0) & (closes < math.inf)
+    times[plain], prices[plain] = days[plain] * DAY_US, closes[valid]
+    return plain, times, prices
+
+
+def _row(lineno: int, raw: str) -> tuple[int, float] | None:
+    """Time and price of line `lineno`; None for a blank, `#` or line-1 header line."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
         return None
-    try:  # last, so that a file with other heads never pays for it
-        prices = np.fromiter(map(float, [line[11:] for line in lines]), np.float64, len(lines))
+    parts = line.split(",")
+    if len(parts) != 2:
+        raise CsvParseError(f"expected 2 columns, got {len(parts)}", line=lineno)
+    stamp, close = parts[0].strip(), parts[1].strip()
+    if lineno == 1 and not (_parses(parse_date, stamp) or _parses(float, close)):
+        return None  # a header: neither field parses
+    try:
+        ts = parse_date(stamp)
+    except ValueError as exc:
+        raise CsvParseError(str(exc), line=lineno)
+    try:
+        price = float(close)
     except ValueError:
-        return None
-    if not ((prices > 0) & (prices < math.inf)).all():
-        return None
-    return days * DAY_US, prices
+        raise CsvParseError(f"invalid price {close!r}", line=lineno)
+    if not 0 < price < math.inf:
+        raise CsvParseError(f"price {close!r} is not positive and finite", line=lineno)
+    us = epoch_us(ts)
+    if us < 0:
+        raise CsvParseError(f"date {ts.isoformat()} precedes the 1900-01-01 epoch", line=lineno)
+    return us, price
 
 
 def _parses(parse, text: str) -> bool:

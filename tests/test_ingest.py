@@ -1,3 +1,4 @@
+import math
 import re
 from datetime import date, datetime, timedelta, timezone
 
@@ -239,7 +240,7 @@ class TestTextLines:
     @pytest.mark.parametrize("end", LINE_ENDS)
     def test_every_line_end_reads_the_same_series(self, end):
         rows = ["2013-01-01,1.5", "2013-01-02,2", "03/01/2013,3"]
-        for data in (rows[:2], rows):  # the bulk pass, then the per-line loop
+        for data in (rows[:2], rows):  # plain rows only, then a row that `_row` reads
             want = parse_csv("\n".join(data) + "\n", "X", "stock index")
             got = parse_csv(end.join(data).encode(), "X", "stock index")
             assert got.times.tolist() == want.times.tolist()
@@ -344,9 +345,9 @@ class TestColumnarSeries:
         assert s.window(parse_date("2013-01-03"), parse_date("2013-01-04")) is None
 
 
-def _outcome(text):
+def _outcome(text, parse=parse_csv):
     try:
-        s = parse_csv(text, "X", "stock index")
+        s = parse(text, "X", "stock index")
     except (CsvParseError, SeriesTooShortError) as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     return s.times.tolist(), s.prices.tolist()
@@ -379,7 +380,7 @@ _PRICES = st.one_of(
     ),
 )
 _ROWS = st.one_of(
-    # the fixed-width shape, and every other shape the general path reads
+    # the fixed-width shape, and every other shape the per-line reader reads
     st.builds(
         "{},{}{}".format, _ISO_DATES, _PRICES, st.sampled_from(["", "", "", ",", ",2", " "])
     ),
@@ -397,7 +398,7 @@ class TestParseCsvFastBranch:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_ROWS, max_size=8))
     def test_agrees_with_general_path(self, rows):
-        # a leading space keeps the file off the bulk pass
+        # a leading space sends every row through `_row`, the per-line reader
         text = "\n".join(rows)
         general = "\n".join(" " + row for row in rows)
         assert _outcome(text) == _outcome(general)
@@ -474,8 +475,8 @@ class TestParseCsvBulkPass:
     @settings(max_examples=500, deadline=None)
     @given(_fixed_width_files())
     def test_agrees_with_per_line_loop(self, file):
-        # a leading space keeps the file off the bulk pass: the per-line
-        # loop reads it
+        # a leading space sends every row through `_row`, the per-line
+        # reader; without it, the plain rows are read over their columns
         rows, sep = file
         text = sep.join(rows) + sep
         general = sep.join(" " + row for row in rows) + sep
@@ -498,5 +499,137 @@ class TestParseCsvBulkPass:
         days = [date(1900, 1, 1), date(2000, 2, 29), date(2100, 3, 1)]
         assert s.times.tolist() == [gregorian_day_count(d) * 86_400_000_000 for d in days]
         assert s.prices.tolist() == [1.5, 2.0, 1e-3]
-        with pytest.raises(AssertionError, match="per-line loop reached"):
-            parse_csv("date,price\n" + text, "X", "stock index")
+
+    @pytest.mark.parametrize(
+        "variant, dates_parsed",
+        [
+            (lambda f: "date,price\n" + f, ["date"]),  # the header check reads its date field
+            (lambda f: "# note\n" + f, []),
+            (lambda f: "\n".join(f.splitlines()[::-1]) + "\n", []),
+            (lambda f: f.replace("\n", "\r\n") + "\r\n", []),
+        ],
+        ids=["header", "comment", "newest-first", "crlf-and-blank"],
+    )
+    def test_messy_file_reads_plain_rows_in_bulk(self, monkeypatch, variant, dates_parsed):
+        # no line sends the whole file to the per-line reader: only the
+        # lines that are not plain rows reach `parse_date`
+        start = date(1999, 12, 1)
+        f = "".join(f"{start + timedelta(days=i)},{i % 97 + 0.5}\n" for i in range(400))
+        want = parse_csv(f, "X", "stock index")
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return parse_date(text)
+
+        monkeypatch.setattr(ingest, "parse_date", counted)
+        got = parse_csv(variant(f), "X", "stock index")
+        assert calls == dates_parsed
+        assert got.times.tolist() == want.times.tolist()
+        assert got.prices.tolist() == want.prices.tolist()
+
+
+def reference_csv(data: bytes | str, id: str, kind: str) -> PriceSeries:
+    """The per-line reader that `parse_csv` replaced, kept as its oracle:
+    every line is stripped, split and read in order through `parse_date`
+    up to the first bad one, then the rows are sorted by time."""
+    try:
+        lines = text_lines(data)
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"input is not UTF-8: {exc}")
+    times: list[int] = []
+    prices: list[float] = []
+    seen_days: set[int] = set()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise CsvParseError(f"expected 2 columns, got {len(parts)}", line=lineno)
+        if lineno == 1 and not (_parses(parse_date, parts[0]) or _parses(float, parts[1])):
+            continue  # a header: neither field parses
+        try:
+            ts = parse_date(parts[0])
+        except ValueError as exc:
+            raise CsvParseError(str(exc), line=lineno)
+        try:
+            price = float(parts[1])
+        except ValueError:
+            raise CsvParseError(f"invalid price {parts[1]!r}", line=lineno)
+        if not 0 < price < math.inf:
+            raise CsvParseError(f"price {parts[1]!r} is not positive and finite", line=lineno)
+        us = epoch_us(ts)
+        if us < 0:
+            raise CsvParseError(
+                f"date {ts.isoformat()} precedes the 1900-01-01 epoch", line=lineno
+            )
+        day = us // ingest.DAY_US
+        if day in seen_days:
+            raise CsvParseError(f"duplicate date {ts.date().isoformat()}", line=lineno)
+        seen_days.add(day)
+        times.append(us)
+        prices.append(price)
+    if len(times) < 2:
+        raise SeriesTooShortError(
+            f"series {id!r}: parsed {len(times)} points, need at least 2"
+        )
+    order = np.argsort(times, kind="stable")
+    return PriceSeries(id, kind, np.array(times)[order], np.array(prices)[order])
+
+
+def _parses(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+_DAYS = st.integers(0, 400).map(lambda k: date(2013, 1, 1) + timedelta(days=k))
+_GOOD_DATES = st.one_of(
+    _DAYS.map(date.isoformat),
+    _DAYS.map(date.isoformat),
+    _DAYS.map(lambda d: d.strftime("%d/%m/%Y")),
+    st.builds(
+        "{}T{:02d}:{:02d}{}".format,
+        _DAYS, st.integers(0, 23), st.integers(0, 59),
+        st.sampled_from(["", ":00.5", "+05:00", "-11:30", "Z"]),
+    ),
+)
+_GOOD_ROWS = st.builds("{},{!r}".format, _GOOD_DATES, st.floats(min_value=1e-3, max_value=1e6))
+_CLEAN_LINES = st.one_of(
+    _GOOD_ROWS,
+    _GOOD_ROWS.map(lambda row: " " + row),
+    _GOOD_ROWS.map(lambda row: row.replace(",", " , ") + " "),
+    st.sampled_from(["", "# note", "  "]),
+)
+_BAD_DATES = ["2013-02-30", "2013-13-01", "2013-00-10", "1899-12-31", "31/02/2013", "2013-1-5"]
+_MIXED_LINES = st.one_of(
+    _CLEAN_LINES,
+    st.just("date,price"),
+    st.sampled_from(_BAD_DATES).map("{},1".format),
+    st.sampled_from(_BAD_DATES).map("{},1".format),
+    st.builds("{},{}".format, _GOOD_DATES, st.sampled_from(["0", "-1", "nan", "inf", "abc", ""])),
+)
+
+
+class TestOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.booleans().flatmap(
+            lambda clean: st.lists(
+                st.tuples(_CLEAN_LINES if clean else _MIXED_LINES, st.sampled_from(LINE_ENDS)),
+                min_size=2 * clean,
+                max_size=12,
+            )
+        ),
+        st.sampled_from(["", "date,price\n", "# note\n"]),
+        st.booleans(),
+    )
+    def test_agrees_with_per_line_reader(self, lines, first, bom):
+        # plain rows among every other kind of line, in any order: the
+        # same series, or the same error type, message and line
+        data = (first + "".join(line + end for line, end in lines)).encode()
+        data = BOM + data if bom else data
+        assert _outcome(data) == _outcome(data, reference_csv)

@@ -252,6 +252,31 @@ def test_histogram_bin_bound(tmp_path, monkeypatch, capsys):
     assert not hist.exists()
 
 
+def test_unalignable_pair_is_a_report_failure(tmp_path, capsys):
+    """A market that rises every day has one local maximum, too few for
+    two peak anchors: `report` lists the pair's alignment failure, warns
+    on stderr, writes no aligned file and exits 1."""
+    good = _write_iso_market(tmp_path / "good.csv", 47)
+    rise = tmp_path / "rise.csv"
+    start = date(2013, 1, 1)
+    rows = [f"{start + timedelta(days=i)},{10 + i}\n" for i in range(60)]
+    rise.write_text("".join(rows), encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"market = GOOD, stock index, {good}\nmarket = RISE, stock index, {rise}\n"
+        "pair = GOOD, RISE\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--output-dir", str(out)]) == 1
+    failure = "GOOD__RISE alignment: series 'RISE': found 1 local maxima, need 2"
+    assert f"failures:\n  {failure}\n" in (out / "report.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().err == f"warning: {failure}\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "GOOD_hist.csv", "RISE_hist.csv", "report.csv", "report.txt"
+    ]
+
+
 def test_report_computes_moments_once_per_market(tmp_path, monkeypatch):
     """The histogram reuses the moments of the metric columns; when they
     fail, it fails with their reason."""
